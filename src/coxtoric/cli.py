@@ -140,7 +140,7 @@ def _cmd_cox(args) -> int:
     payload = {
         "m": p.num_coordinates,
         "q_matrix": _matrix_rows(p.q_matrix),
-        "sigma_max_cones": [list(p.sigma.cone_ray_indices(c)) for c in p.sigma.max_cones],
+        "sigma_max_cones": [list(s) for s in p.sigma],
         "subgroup": {"torus_rank": torus_rank, "cyclic_orders": list(orders)},
         "class_group": None,
         "complement_codim": codim,
@@ -183,7 +183,10 @@ def _cmd_lift(args) -> int:
 def _cmd_diag(args) -> int:
     data = _load_json(args.weights)
     action = _parse_weight_action(data)
-    matrices = [_parse_monomial_matrix(d) for d in data.get("monomial_matrices", [])]
+    monomial_matrices = data.get("monomial_matrices", [])
+    if not isinstance(monomial_matrices, list):
+        raise InputError("monomial_matrices must be a list")
+    matrices = [_parse_monomial_matrix(d) for d in monomial_matrices]
     group = subgroup_from_weights(action)
     exponents = classify_quotient(group)
     payload = {

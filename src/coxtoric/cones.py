@@ -127,10 +127,6 @@ class Cone:
         snf = smith_normal_form(IntMatrix.from_columns(self.rays, rows=self.ambient_rank))
         return all(d == 1 for d in snf.invariant_factors())
 
-    def dual_description(self) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-        """(facet normals, span equations); together they cut out the cone."""
-        return self.facet_normals, self.span_equations
-
     def contains_point(self, point: Sequence) -> bool:
         """Exact membership for integer or Fraction coordinates."""
         if len(point) != self.ambient_rank:

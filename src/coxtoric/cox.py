@@ -5,6 +5,9 @@ variety as a quotient of an open toric subset Z of K^m: the lattice map Q
 sending basis vectors to the primitive ray generators, the fan Sigma of
 coordinate orthant faces with Z = Z(Sigma), and the diagonalizable kernel
 subgroup H of (K*)^m cut out by the characters pulled back from the base.
+Sigma is held combinatorially: the orthant face spanned by the unit vectors
+e_i, i in I, is the index set I, and Sigma's maximal cones are the ray-index
+sets of Delta's maximal cones.
 The class-group grading of the coordinates and the minimal degree needed
 to lift subtori through the quotient are computed exactly.
 """
@@ -16,9 +19,8 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .cones import cone_from_rays
 from .errors import HypothesisError, ToricError
-from .fans import Fan, fan_from_max_cones, is_map_of_fans
+from .fans import Fan
 from .groups import DiagonalizableSubgroup, WeightAction, is_effective
 from .intlin import (
     IntMatrix,
@@ -59,11 +61,15 @@ class ClassGroupElement:
 @dataclass(frozen=True)
 class CoxPresentation:
     """The data (Q, Sigma, H) presenting the variety of `delta` as a
-    quotient of an open subset of K^m by the diagonalizable group H."""
+    quotient of an open subset of K^m by the diagonalizable group H.
+
+    `sigma` lists the maximal cones of Sigma as index sets: entry k holds
+    the indices, in `delta.rays`, of the rays of `delta.max_cones[k]`.
+    """
 
     delta: Fan
     q_matrix: IntMatrix
-    sigma: Fan
+    sigma: tuple[tuple[int, ...], ...]
     kernel_group: DiagonalizableSubgroup
 
     @property
@@ -84,21 +90,10 @@ class LiftResult:
 
 def cox_presentation(delta: Fan) -> CoxPresentation:
     """Build the quotient presentation of the variety of `delta`."""
-    n, m = delta.rank, len(delta.rays)
-    q_matrix = IntMatrix.from_columns(delta.rays, rows=n)
-    sigma_cones = []
-    for mc in delta.max_cones:
-        sigma_cones.append(cone_from_rays(m, [_unit(delta.ray_index(r), m) for r in mc.rays]))
-    sigma = fan_from_max_cones(m, sigma_cones)
-    kernel_group = DiagonalizableSubgroup(m, q_matrix.transpose())
-    assert len(sigma.max_cones) == len(delta.max_cones)
-    assert is_map_of_fans(q_matrix, sigma, delta)
+    q_matrix = IntMatrix.from_columns(delta.rays, rows=delta.rank)
+    sigma = tuple(delta.cone_ray_indices(mc) for mc in delta.max_cones)
+    kernel_group = DiagonalizableSubgroup(len(delta.rays), q_matrix.transpose())
     return CoxPresentation(delta, q_matrix, sigma, kernel_group)
-
-
-def _orthant_face_sets(p: CoxPresentation) -> list[frozenset[int]]:
-    sets = [frozenset(p.delta.cone_ray_indices(mc)) for mc in p.delta.max_cones]
-    return sets if sets else [frozenset()]
 
 
 def complement_codim(p: CoxPresentation) -> int:
@@ -109,7 +104,8 @@ def complement_codim(p: CoxPresentation) -> int:
     is returned.
     """
     m = p.num_coordinates
-    face_sets = _orthant_face_sets(p)
+    # an empty Sigma still holds the zero face, the empty index set
+    face_sets = [frozenset(s) for s in p.sigma] or [frozenset()]
     for size in range(m + 1):
         for subset in combinations(range(m), size):
             s = frozenset(subset)
@@ -124,12 +120,11 @@ def acts_freely(p: CoxPresentation) -> bool:
     The stabilizer of a point whose zero coordinates are exactly I is
     H intersected with the coordinate subtorus on I, which is trivial iff
     the relation lattice of H projects onto all of Z^I.  It suffices to
-    check the index sets of the maximal cones.
+    check the index sets of the maximal cones of Sigma.
     """
     qt = p.q_matrix.transpose()
-    for mc in p.delta.max_cones:
-        idx = sorted(p.delta.cone_ray_indices(mc))
-        projected = IntMatrix.from_rows([qt.row(i) for i in idx], cols=qt.cols)
+    for s in p.sigma:
+        projected = IntMatrix.from_rows([qt.row(i) for i in sorted(s)], cols=qt.cols)
         if cokernel_invariants(projected) != (0, ()):
             return False
     return True

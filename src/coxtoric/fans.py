@@ -2,9 +2,11 @@
 
 A fan is a finite collection of strongly convex cones closed under taking
 faces, in which any two cones intersect in a common face.  Construction
-validates the axioms on the given maximal cones and computes the face
-closure.  The ray order of a fan is the first-appearance order across the
-maximal cones as given; downstream modules rely on this to fix coordinates.
+validates the axioms on the given maximal cones; every cone is a face of a
+maximal one, so membership, maps of fans and walls are decided on the
+maximal cones, and the face closure `all_cones` is built on first read.
+The ray order of a fan is the first-appearance order across the maximal
+cones as given; downstream modules rely on this to fix coordinates.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .cones import Cone, cone_from_rays, dual_constraints, zero_cone
@@ -32,11 +35,21 @@ class Wall:
 class Fan:
     rank: int
     max_cones: tuple[Cone, ...]
-    all_cones: tuple[Cone, ...]
     rays: tuple[Vector, ...]
 
     def __repr__(self):
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
+
+    @cached_property
+    def all_cones(self) -> tuple[Cone, ...]:
+        """Every cone of the fan, each once, in the order of the maximal
+        cones and of their faces; built on first read."""
+        return tuple(dict.fromkeys(f for c in self._covering_cones() for f in c.faces()))
+
+    def _covering_cones(self) -> tuple[Cone, ...]:
+        """Cones of which every cone of the fan is a face: the maximal
+        cones, or the zero cone alone when there are none."""
+        return self.max_cones or (zero_cone(self.rank),)
 
     def ray_index(self, ray: Vector) -> int:
         return self.rays.index(tuple(ray))
@@ -49,16 +62,26 @@ class Fan:
         return IntMatrix.from_rows(self.rays, cols=self.rank).rank() == self.rank
 
     def contains_point(self, point: Sequence) -> bool:
-        return any(c.contains_point(point) for c in self.all_cones)
+        return any(c.contains_point(point) for c in self._covering_cones())
 
     def walls(self) -> list[Wall]:
-        out = []
-        for c in self.all_cones:
-            if c.dim == self.rank - 1:
-                incident = tuple(i for i, mc in enumerate(self.max_cones)
-                                 if c.is_face_of(mc))
-                out.append(Wall(c, incident))
-        return out
+        """The cones of dimension rank-1, each once: the facets of the
+        full-dimensional covering cones and the covering cones of dimension
+        rank-1, in the order of those cones and of their facet normals."""
+        faces: list[Cone] = []
+        seen = set()
+        for mc in self._covering_cones():
+            if mc.dim == self.rank - 1:
+                faces.append(mc)
+            elif mc.dim == self.rank:
+                for u in mc.facet_normals:
+                    rays = tuple(r for r in mc.rays if dot(u, r) == 0)
+                    key = frozenset(rays)
+                    if key not in seen:
+                        seen.add(key)
+                        faces.append(cone_from_rays(self.rank, rays))
+        return [Wall(f, tuple(i for i, mc in enumerate(self.max_cones) if f.is_face_of(mc)))
+                for f in faces]
 
     def is_complete(self) -> bool:
         """Whether the fan's support is the whole space.
@@ -94,14 +117,6 @@ class Fan:
         the support is not convex; None when it is."""
         _, witness = self._convex_support_analysis()
         return witness
-
-    def has_no_small_holes_sufficient(self) -> bool:
-        """Sufficient test for the absence of small holes: convex support.
-
-        This is only a sufficient condition, not a characterization; fans it
-        cannot certify raise UnsupportedShapeError.
-        """
-        return self.has_convex_support()
 
     def _convex_support_analysis(self):
         if not self.rays:
@@ -157,7 +172,7 @@ class Fan:
 
 
 def fan_from_max_cones(rank: int, cones: Sequence[Cone]) -> Fan:
-    """Validate the fan axioms and build the face closure.
+    """Validate the fan axioms on the maximal cones.
 
     Raises FanValidationError naming the offending pair when two cones
     intersect in a set that is not a common face (overlap) and when one
@@ -179,34 +194,26 @@ def fan_from_max_cones(rank: int, cones: Sequence[Cone]) -> Fan:
                     f"maximal cone {i if inter == cones[i] else j} is contained "
                     f"in maximal cone {j if inter == cones[i] else i}")
 
-    all_cones: list[Cone] = []
-    seen = set()
-    for c in cones:
-        for f in c.faces():
-            if f not in seen:
-                seen.add(f)
-                all_cones.append(f)
-    if not all_cones:
-        all_cones.append(zero_cone(rank))
-
     rays: list[Vector] = []
     for c in cones:
         for r in c.rays:
             if r not in rays:
                 rays.append(r)
-    return Fan(rank, cones, tuple(all_cones), tuple(rays))
+    return Fan(rank, cones, tuple(rays))
 
 
 def is_map_of_fans(matrix: IntMatrix, source: Fan, target: Fan) -> bool:
     """Whether the lattice map sends every cone of `source` into some cone
-    of `target` (checked on rays)."""
+    of `target` (checked on the rays of the maximal cones: every cone is a
+    face of one)."""
     if matrix.cols != source.rank or matrix.rows != target.rank:
         raise ShapeError(
             f"{matrix.rows}x{matrix.cols} matrix cannot map rank {source.rank} "
             f"to rank {target.rank}")
-    for c in source.all_cones:
+    for c in source.max_cones:
         images = [matrix.apply(r) for r in c.rays]
-        if not any(all(t.contains_point(im) for im in images) for t in target.all_cones):
+        if not any(all(t.contains_point(im) for im in images)
+                   for t in target._covering_cones()):
             return False
     return True
 
@@ -229,8 +236,10 @@ def fan_from_dict(data: dict) -> Fan:
         max_cones = data["max_cones"]
     except KeyError as exc:
         raise FanValidationError(f"fan file is missing key {exc}") from None
-    if not isinstance(rank, int) or rank < 0:
+    if type(rank) is not int or rank < 0:
         raise FanValidationError("rank must be a nonnegative integer")
+    if not isinstance(rays, list) or not isinstance(max_cones, list):
+        raise FanValidationError("rays and max_cones must be lists")
     parsed_rays = []
     for k, ray in enumerate(rays):
         if (not isinstance(ray, list) or len(ray) != rank

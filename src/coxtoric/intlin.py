@@ -10,7 +10,6 @@ to membership-style predicates elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -143,50 +142,43 @@ class IntMatrix:
     def diagonal_entries(self) -> Vector:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
-    def rank(self) -> int:
-        """Rank by fraction-free (Bareiss) elimination, independent of SNF."""
+    def _bareiss(self) -> tuple[int, int]:
+        """Fraction-free (Bareiss) row elimination, independent of SNF.
+
+        Returns (rank, signed last pivot).  When the matrix is square of
+        full rank the signed last pivot is its determinant; it is 1 when
+        there are no pivots.
+        """
         m, n = self.rows, self.cols
         M = [list(row) for row in self.entries]
         r = 0
-        prev = 1
+        prev = sign = 1
         for j in range(n):
+            if r == m:
+                break
             piv = next((i for i in range(r, m) if M[i][j]), None)
             if piv is None:
                 continue
-            M[r], M[piv] = M[piv], M[r]
+            if piv != r:
+                M[r], M[piv] = M[piv], M[r]
+                sign = -sign
             for i in range(r + 1, m):
                 for k in range(j + 1, n):
                     # exact by the Sylvester determinant identity
                     M[i][k] = (M[i][k] * M[r][j] - M[i][j] * M[r][k]) // prev
-                M[i][j] = 0
             prev = M[r][j]
             r += 1
-            if r == m:
-                break
-        return r
+        return r, sign * prev
+
+    def rank(self) -> int:
+        """Rank by fraction-free (Bareiss) elimination, independent of SNF."""
+        return self._bareiss()[0]
 
     def det(self) -> int:
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        M = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for j in range(n):
-            piv = next((i for i in range(j, n) if M[i][j]), None)
-            if piv is None:
-                return 0
-            if piv != j:
-                M[j], M[piv] = M[piv], M[j]
-                sign = -sign
-            for i in range(j + 1, n):
-                for k in range(j + 1, n):
-                    M[i][k] = (M[i][k] * M[j][j] - M[i][j] * M[j][k]) // prev
-                M[i][j] = 0
-            prev = M[j][j]
-        return sign * M[n - 1][n - 1]
+        rank, pivot = self._bareiss()
+        return pivot if rank == self.rows else 0
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(a) for a in row) for row in self.entries) + "]"
@@ -475,28 +467,3 @@ def saturation_basis(a: IntMatrix) -> IntMatrix:
     rho = snf.rank()
     u_inv = invert_unimodular(snf.U)
     return IntMatrix.from_columns([u_inv.column(i) for i in range(rho)], rows=a.rows)
-
-
-def solve_rational(a: IntMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
-    """One rational solution of A*x = b, or None; exact Gaussian elimination."""
-    m, n = a.rows, a.cols
-    M = [[Fraction(a.entries[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
-    pivot_cols = []
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, m) if M[i][j]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        M[r] = [x / M[r][j] for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][j]:
-                M[i] = [u - M[i][j] * v for u, v in zip(M[i], M[r])]
-        pivot_cols.append(j)
-        r += 1
-    if any(M[i][n] for i in range(r, m)):
-        return None
-    x = [Fraction(0)] * n
-    for i, j in enumerate(pivot_cols):
-        x[j] = M[i][n]
-    return tuple(x)

@@ -81,7 +81,7 @@ def theorem_pipeline(delta: Fan, action: WeightAction) -> PipelineReport:
 
     nondegenerate = delta.is_nondegenerate()
     try:
-        holes = delta.has_no_small_holes_sufficient()
+        holes = delta.has_convex_support()
     except UnsupportedShapeError:
         holes = NOT_CERTIFIED
 

@@ -228,6 +228,17 @@ class TestCliErrors:
         iota = write(tmp_path, "iota.json", [[1, 2], [2, 4]])
         assert main(["lift", fan_files["p2"], "--iota", iota]) == 1
 
+    @pytest.mark.parametrize("command, payload", [
+        ("validate", {"rank": 2, "rays": 5, "max_cones": [[0]]}),
+        ("validate", {"rank": 2, "rays": [[1, 0]], "max_cones": 3}),
+        ("validate", {"rank": True, "rays": [[1]], "max_cones": [[0]]}),
+        ("diag", {"rank": 1, "weights": [[1, -1]], "monomial_matrices": 3}),
+    ])
+    def test_malformed_schema_exits_2(self, command, payload, tmp_path, capsys):
+        path = write(tmp_path, "bad.json", payload)
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_empty_fan_validates(self, tmp_path, capsys):
         path = write(tmp_path, "torus.json", {"rank": 1, "rays": [], "max_cones": []})
         assert main(["validate", path]) == 0

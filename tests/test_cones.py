@@ -72,8 +72,8 @@ class TestConstruction:
 
 class TestDualDescription:
     def test_quadrant_normals(self):
-        normals, eqs = quadrant().dual_description()
-        assert set(normals) == {(1, 0), (0, 1)} and eqs == ()
+        c = quadrant()
+        assert set(c.facet_normals) == {(1, 0), (0, 1)} and c.span_equations == ()
 
     def test_singular_cone_normals(self):
         c = cone_from_rays(2, [(1, 0), (1, 2)])

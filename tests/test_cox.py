@@ -15,11 +15,34 @@ from coxtoric.fans import fan_from_max_cones, is_map_of_fans
 from coxtoric.cones import cone_from_rays
 from coxtoric.groups import decompose_subgroup
 from coxtoric.intlin import IntMatrix, lattice_canonical_form
-from fangen import random_simplicial_fan
+from fangen import random_complete_simplicial_fan, random_simplicial_fan
 
 
 def iota(*rows):
     return IntMatrix.from_rows(rows)
+
+
+def _unit(i, m):
+    return tuple(1 if k == i else 0 for k in range(m))
+
+
+def orthant_fan(p):
+    """Sigma as a validated fan of orthant faces in Z^m, built from its
+    index sets."""
+    m = p.num_coordinates
+    return fan_from_max_cones(m, [cone_from_rays(m, [_unit(i, m) for i in s])
+                                  for s in p.sigma])
+
+
+def check_sigma(p):
+    """Sigma is the fan of Delta's index sets, its orthant fan keeps the
+    coordinate order, and Q maps it into Delta."""
+    m = p.num_coordinates
+    sigma = orthant_fan(p)
+    assert p.sigma == tuple(p.delta.cone_ray_indices(mc) for mc in p.delta.max_cones)
+    assert sigma.rays == tuple(_unit(i, m) for i in range(m))
+    assert [sigma.cone_ray_indices(c) for c in sigma.max_cones] == list(p.sigma)
+    assert is_map_of_fans(p.q_matrix, sigma, p.delta)
 
 
 class TestPresentation:
@@ -27,15 +50,14 @@ class TestPresentation:
         p = cox_presentation(corpus["p2"])
         assert p.num_coordinates == 3
         assert p.q_matrix == IntMatrix.from_rows([[1, 0, -1], [0, 1, -1]])
-        assert [p.sigma.cone_ray_indices(c) for c in p.sigma.max_cones] == \
-            [(0, 1), (1, 2), (2, 0)]
+        assert p.sigma == ((0, 1), (1, 2), (2, 0))
         assert decompose_subgroup(p.kernel_group) == (1, ())
 
     def test_affine_plane_is_identity(self, corpus):
         p = cox_presentation(corpus["a2"])
         assert p.q_matrix == IntMatrix.identity(2)
         assert decompose_subgroup(p.kernel_group) == (0, ())
-        assert [c.rays for c in p.sigma.max_cones] == [((1, 0), (0, 1))]
+        assert p.sigma == ((0, 1),)
 
     def test_quadric_cone(self, corpus):
         p = cox_presentation(corpus["quadric_cone"])
@@ -48,18 +70,19 @@ class TestPresentation:
     def test_invariants_on_corpus(self, corpus):
         for name, fan in corpus.items():
             p = cox_presentation(fan)
-            assert is_map_of_fans(p.q_matrix, p.sigma, fan), name
-            assert len(p.sigma.max_cones) == len(fan.max_cones), name
-            orthant = cone_from_rays(p.num_coordinates,
-                                     [tuple(1 if k == i else 0 for k in range(p.num_coordinates))
-                                      for i in range(p.num_coordinates)]) \
-                if p.num_coordinates else None
-            for c in p.sigma.all_cones:
-                if orthant is not None:
-                    assert c.is_face_of(orthant), name
+            check_sigma(p)
+            m = p.num_coordinates
+            orthant = cone_from_rays(m, [_unit(i, m) for i in range(m)])
+            for c in orthant_fan(p).all_cones:
+                assert c.is_face_of(orthant), name
             # relation lattice of H is the image of Q^T
             assert lattice_canonical_form(p.kernel_group.relations) == \
                 lattice_canonical_form(p.q_matrix.transpose()), name
+
+    def test_sigma_on_random_fans(self, rng):
+        for _ in range(10):
+            check_sigma(cox_presentation(random_simplicial_fan(rng, rng.randint(1, 3))))
+            check_sigma(cox_presentation(random_complete_simplicial_fan(rng, rng.randint(1, 3))))
 
 
 class TestComplementCodim:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxtoric.cones import cone_from_rays, zero_cone
+from coxtoric.cones import Cone, cone_from_rays, zero_cone
 from coxtoric.errors import FanValidationError, ShapeError, UnsupportedShapeError
 from coxtoric.fans import fan_from_dict, fan_from_max_cones, fan_to_dict, is_map_of_fans
 from coxtoric.intlin import IntMatrix
@@ -46,6 +46,19 @@ class TestConstruction:
             # every listed ray is a one-dimensional cone of the fan
             for r in fan.rays:
                 assert cone_from_rays(fan.rank, [r]) in fan.all_cones
+
+    def test_face_closure_is_built_on_first_read(self, corpus, monkeypatch):
+        calls = []
+        faces = Cone.faces
+        monkeypatch.setattr(Cone, "faces", lambda c: calls.append(c) or faces(c))
+        fan = fan_from_dict(fan_to_dict(corpus["p1xp1"]))
+        fan.walls()
+        fan.contains_point((1, 1))
+        assert calls == []
+        assert len(fan.all_cones) == 9
+        assert len(calls) == len(fan.max_cones)
+        assert len(fan.all_cones) == 9
+        assert len(calls) == len(fan.max_cones)
 
     def test_overlap_error_names_pair(self):
         with pytest.raises(FanValidationError, match="cones 0 and 1 overlap"):
@@ -97,6 +110,18 @@ class TestWallsAndCompleteness:
         for name in ["a1", "a2", "a3", "quadric_cone", "bl0_a2"]:
             assert not corpus[name].is_complete(), name
 
+    def test_walls_are_the_codimension_one_cones_in_closure_order(self, corpus, rng):
+        fans = list(corpus.values()) + [punctured_plane_style_fan(), three_quadrants(),
+                                        fan_from_max_cones(1, [])]
+        fans += [random_simplicial_fan(rng, rng.randint(1, 3)) for _ in range(10)]
+        for fan in fans:
+            expected = [c for c in fan.all_cones if c.dim == fan.rank - 1]
+            walls = fan.walls()
+            assert [w.face.rays for w in walls] == [c.rays for c in expected], fan
+            for w in walls:
+                assert w.incident == tuple(i for i, mc in enumerate(fan.max_cones)
+                                           if w.face.is_face_of(mc))
+
     def test_non_pure_returns_false(self):
         assert not punctured_plane_style_fan().is_complete()
 
@@ -105,7 +130,6 @@ class TestConvexSupport:
     def test_affine_fans_true(self, corpus):
         for name in ["a1", "a2", "a3", "quadric_cone"]:
             assert corpus[name].has_convex_support()
-            assert corpus[name].has_no_small_holes_sufficient()
 
     def test_blowup_true(self, corpus):
         assert corpus["bl0_a2"].has_convex_support()
@@ -123,7 +147,7 @@ class TestConvexSupport:
 
     def test_punctured_plane_not_certified(self):
         with pytest.raises(UnsupportedShapeError):
-            punctured_plane_style_fan().has_no_small_holes_sufficient()
+            punctured_plane_style_fan().has_convex_support()
 
     def test_low_dimensional_support_reduced(self):
         # two opposite rays in rank 2: support is a line, convex after reduction
@@ -193,6 +217,13 @@ class TestMapOfFans:
     def test_shape_error(self, corpus):
         with pytest.raises(ShapeError):
             is_map_of_fans(IntMatrix.identity(3), corpus["a2"], corpus["a2"])
+
+    def test_empty_fan_holds_only_the_origin(self, corpus):
+        empty = fan_from_max_cones(1, [])
+        assert empty.contains_point((0,)) and not empty.contains_point((1,))
+        assert is_map_of_fans(IntMatrix.zero(1, 2), corpus["a2"], empty)
+        assert not is_map_of_fans(IntMatrix.from_rows([[1, 0]]), corpus["a2"], empty)
+        assert is_map_of_fans(IntMatrix.zero(2, 1), empty, corpus["a2"])
 
     def test_refinement_map(self, corpus):
         # blowup fan refines the quadrant: identity is a map of fans one way only

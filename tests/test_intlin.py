@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxtoric.errors import InvalidRayError
+from coxtoric.errors import InvalidRayError, ShapeError
 from coxtoric.intlin import (
     IntMatrix,
     cokernel_invariants,
@@ -18,11 +18,11 @@ from coxtoric.intlin import (
     saturation_basis,
     smith_normal_form,
     solve_integer,
-    solve_rational,
 )
 from oracles import (
     brute_divisibility_index,
     brute_lattice_member,
+    det_cofactor,
     invariant_factors_by_minors,
     rank_fraction_gauss,
 )
@@ -120,6 +120,20 @@ class TestSmithNormalForm:
         assert a.rank() == rank_fraction_gauss([list(r) for r in a.entries], a.cols)
 
 
+class TestDeterminant:
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-10, 10), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_matches_cofactor_expansion(self, rows):
+        assert IntMatrix.from_rows(rows, cols=len(rows)).det() == det_cofactor(rows)
+
+    def test_examples(self):
+        assert IntMatrix.zero(0, 0).det() == 1
+        assert M([[0, 1], [1, 0]]).det() == -1
+        assert M([[1, 2, 3], [2, 4, 6], [0, 0, 1]]).det() == 0
+        with pytest.raises(ShapeError):
+            M([[1, 2]]).det()
+
+
 class TestCokernel:
     def test_index_two_sublattice(self):
         cols = [(1, 1), (0, 2)]
@@ -154,13 +168,6 @@ class TestKernel:
 
     def test_injective(self):
         assert kernel_basis(IntMatrix.identity(2)) == []
-
-    def test_rational_then_primitive(self):
-        a = M([[1, 0, -1], [0, 1, -2]])
-        x = solve_rational(a, (0, 0))
-        assert x == (0, 0, 0)
-        [v] = kernel_basis(a)
-        assert v in [(1, 2, 1), (-1, -2, -1)]
 
     @given(matrices)
     def test_saturated_and_annihilated(self, a):
