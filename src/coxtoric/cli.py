@@ -4,7 +4,8 @@ Subcommands: validate, properties, cox, classgroup, lift, diag, pipeline,
 snf.  Fans are read from the shared JSON schema ({"rank", "rays",
 "max_cones"}, 0-based indices); matrices are row-major lists of lists;
 weight actions are {"rank": r, "weights": [[..], ..]} with an optional
-"monomial_matrices" list of {"perm": [..], "scalars": ["p/q", ..]}.
+"monomial_matrices" list of {"perm": [..], "scalars": [..]}, each scalar a
+string "p/q" or an integer.
 Exit codes: 0 success, 1 unmet hypothesis, 2 malformed input.
 """
 
@@ -40,8 +41,10 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"{path}: no such file")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
@@ -87,9 +90,13 @@ def _parse_monomial_matrix(data) -> MonomialMatrix:
     perm = data["perm"]
     if not isinstance(perm, list) or not all(type(i) is int for i in perm):
         raise InputError("perm must be a list of integers")
+    scalars = data["scalars"]
+    if not isinstance(scalars, list) or not all(
+            isinstance(s, str) or type(s) is int for s in scalars):
+        raise InputError('scalars must be a list of strings "p/q" or integers')
     try:
-        scalars = tuple(Fraction(s) for s in data["scalars"])
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        scalars = tuple(Fraction(s) for s in scalars)
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad scalar exponent: {exc}")
     try:
         return MonomialMatrix(tuple(perm), scalars)

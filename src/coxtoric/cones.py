@@ -5,8 +5,12 @@ computed dual description: facet normals (one per facet, relative to the
 cone's linear span) and the span's defining equations.  All predicates are
 decided exactly over the integers/rationals.
 
-Facet enumeration is brute force over (dim-1)-subsets of generators, which
-is entirely adequate at the intended scale (at most a dozen rays).
+There is one facet search, `dual_constraints`: brute force over the
+(dim-1)-subsets of generators, which is entirely adequate at the intended
+scale (at most a dozen rays).  The other direction reuses it by duality:
+`cone_from_rays` reads the extreme rays off the dual description of its
+generators, and `Cone.intersect` finds the extreme rays of an intersection
+as the facet normals of the cone that the pooled facet normals generate.
 """
 
 from __future__ import annotations
@@ -83,11 +87,6 @@ def dual_constraints(rank: int, generators: Sequence[Vector]) -> tuple[list[Vect
     return sorted(lifted), sorted(equations)
 
 
-def _satisfies(point: Sequence, facet_normals: Sequence[Vector], span_equations: Sequence[Vector]) -> bool:
-    return (all(dot(e, point) == 0 for e in span_equations)
-            and all(dot(u, point) >= 0 for u in facet_normals))
-
-
 @dataclass(frozen=True, eq=False)
 class Cone:
     """Strongly convex cone given by primitive extreme rays and dual data.
@@ -131,7 +130,8 @@ class Cone:
         """Exact membership for integer or Fraction coordinates."""
         if len(point) != self.ambient_rank:
             raise ShapeError(f"point of length {len(point)} in rank {self.ambient_rank}")
-        return _satisfies(point, self.facet_normals, self.span_equations)
+        return (all(dot(e, point) == 0 for e in self.span_equations)
+                and all(dot(u, point) >= 0 for u in self.facet_normals))
 
     def is_face_of(self, other: Cone) -> bool:
         """Whether this cone is a face of `other`.
@@ -166,10 +166,10 @@ class Cone:
     def intersect(self, other: Cone) -> Cone:
         """Exact intersection, re-extracting extreme rays.
 
-        Works in coordinates on the intersection of the two spans; every
-        extreme ray of the (pointed) intersection spans the kernel of some
-        (dim-1)-subset of the pooled facet constraints, so enumerating those
-        kernels and keeping the one-sided ones finds exactly the rays.
+        Works in coordinates on the intersection W of the two spans.  The
+        intersection is pointed, so the cone generated by the pooled facet
+        normals pulled back to W is full-dimensional in W, and its facet
+        normals are exactly the intersection's extreme rays.
         """
         if self.ambient_rank != other.ambient_rank:
             raise ShapeError("cones live in different ranks")
@@ -179,26 +179,10 @@ class Cone:
         if not w_basis:
             return zero_cone(rank)
         bmat = IntMatrix.from_columns(w_basis, rows=rank)
-        dim_w = len(w_basis)
         bt = bmat.transpose()
-        constraints = []
-        for u in list(self.facet_normals) + list(other.facet_normals):
-            pulled = bt.apply(u)
-            if any(pulled) and pulled not in constraints:
-                constraints.append(pulled)
-        candidates = set()
-        for subset in combinations(constraints, dim_w - 1):
-            ker = kernel_basis(IntMatrix.from_rows(subset, cols=dim_w))
-            if len(ker) != 1:
-                continue
-            v = ker[0]
-            values = [dot(a, v) for a in constraints]
-            if all(x >= 0 for x in values):
-                candidates.add(v)
-            elif all(x <= 0 for x in values):
-                candidates.add(tuple(-y for y in v))
-        rays = [bmat.apply(v) for v in sorted(candidates)]
-        return cone_from_rays(rank, rays)
+        pulled = [bt.apply(u) for u in self.facet_normals + other.facet_normals]
+        rays, _ = dual_constraints(len(w_basis), [v for v in pulled if any(v)])
+        return cone_from_rays(rank, [bmat.apply(v) for v in rays])
 
 
 def zero_cone(rank: int) -> Cone:
@@ -210,9 +194,10 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
     """Build a strongly convex cone from integer generators.
 
     Generators are primitivized, deduplicated and reduced to the extreme
-    rays (a generator is extreme iff it does not lie in the cone of the
-    others).  Raises InvalidRayError on a zero generator and
-    StrongConvexityError if the generators span a cone containing a line.
+    rays (a generator is extreme iff the facet normals vanishing on it,
+    together with the span equations, have rank `rank - 1`).  Raises
+    InvalidRayError on a zero generator and StrongConvexityError if the
+    generators span a cone containing a line.
     """
     gens: list[Vector] = []
     seen = set()
@@ -226,16 +211,15 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
             seen.add(p)
             gens.append(p)
 
-    survivors = list(gens)
-    for g in list(survivors):
-        others = [h for h in survivors if h != g]
-        normals, eqs = dual_constraints(rank, others) if others else ([], None)
-        if others and _satisfies(g, normals, eqs):
-            survivors.remove(g)
-
-    normals, eqs = dual_constraints(rank, survivors)
-    lineality = kernel_basis(IntMatrix.from_rows(list(normals) + list(eqs), cols=rank))
+    normals, eqs = dual_constraints(rank, gens)
+    lineality = kernel_basis(IntMatrix.from_rows(normals + eqs, cols=rank))
     if lineality:
         raise StrongConvexityError(
             f"cone of {list(gens)} contains the line through {lineality[0]}")
+    survivors = [g for g in gens if IntMatrix.from_rows(
+        [u for u in normals if dot(u, g) == 0] + eqs, cols=rank).rank() == rank - 1]
+    if len(survivors) < len(gens):
+        # the lifted normals of a lower-dimensional cone depend on the
+        # generator list, so they are recomputed from the extreme rays alone
+        normals, eqs = dual_constraints(rank, survivors)
     return Cone(rank, tuple(survivors), tuple(normals), tuple(eqs))

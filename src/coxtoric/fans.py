@@ -5,8 +5,9 @@ faces, in which any two cones intersect in a common face.  Construction
 validates the axioms on the given maximal cones; every cone is a face of a
 maximal one, so membership, maps of fans and walls are decided on the
 maximal cones, and the face closure `all_cones` is built on first read.
-The ray order of a fan is the first-appearance order across the maximal
-cones as given; downstream modules rely on this to fix coordinates.
+The ray order of a fan fixes coordinates downstream: it is the order of the
+file's `rays` list for a fan read by `fan_from_dict`, and the first-appearance
+order across the maximal cones for one built by `fan_from_max_cones`.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def fan_from_dict(data: dict) -> Fan:
         extra = [list(r) for r in set(parsed_rays) - set(fan.rays)]
         raise FanValidationError(
             f"rays {extra} are not extreme rays of the listed cones")
-    return fan
+    return Fan(rank, fan.max_cones, tuple(parsed_rays))
 
 
 def load_fan(path) -> Fan:

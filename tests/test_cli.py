@@ -131,6 +131,14 @@ class TestCliCommands:
         assert data["m"] == 2
         assert data["subgroup"] == {"torus_rank": 0, "cyclic_orders": [2]}
 
+    def test_cox_keeps_the_files_ray_order(self, tmp_path, capsys):
+        path = write(tmp_path, "swapped.json",
+                     {"rank": 2, "rays": [[0, 1], [1, 0]], "max_cones": [[1, 0]]})
+        assert main(["cox", path, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["q_matrix"] == [[0, 1], [1, 0]]
+        assert data["sigma_max_cones"] == [[1, 0]]
+
     def test_classgroup(self, fan_files, capsys):
         assert main(["classgroup", fan_files["p112"], "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -233,10 +241,24 @@ class TestCliErrors:
         ("validate", {"rank": 2, "rays": [[1, 0]], "max_cones": 3}),
         ("validate", {"rank": True, "rays": [[1]], "max_cones": [[0]]}),
         ("diag", {"rank": 1, "weights": [[1, -1]], "monomial_matrices": 3}),
+        ("diag", {"rank": 1, "weights": [[1, -1]],
+                  "monomial_matrices": [{"perm": [1, 0], "scalars": "12"}]}),
+        ("diag", {"rank": 1, "weights": [[1, -1]],
+                  "monomial_matrices": [{"perm": [1, 0], "scalars": [0.5, True]}]}),
     ])
     def test_malformed_schema_exits_2(self, command, payload, tmp_path, capsys):
         path = write(tmp_path, "bad.json", payload)
         assert main([command, path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_input_exits_2(self, kind, tmp_path, capsys):
+        if kind == "directory":
+            path = str(tmp_path)
+        else:
+            path = tmp_path / "bad.json"
+            path.write_bytes(b"\xff\xfe\x00")
+        assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_empty_fan_validates(self, tmp_path, capsys):

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coxtoric import cones
 from coxtoric.cones import Cone, cone_from_rays, zero_cone
 from coxtoric.errors import InvalidRayError, ShapeError, StrongConvexityError
 from coxtoric.intlin import dot
@@ -68,6 +70,67 @@ class TestConstruction:
         assert z.rays == ()
         assert z.dim == 0
         assert z.is_simplicial() and z.is_smooth()
+
+
+@st.composite
+def cones_with_redundant_generators(draw):
+    """A pointed cone and its rays with nonnegative integer combinations of
+    them inserted at random places; the rays keep their relative order."""
+    c = draw(pointed_cones())
+    assume(c.rays)
+    gens = [list(r) for r in c.rays]
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = draw(st.lists(st.integers(0, 3), min_size=len(c.rays), max_size=len(c.rays)))
+        combo = [sum(k * r[i] for k, r in zip(coeffs, c.rays)) for i in range(c.ambient_rank)]
+        if any(combo):
+            gens.insert(draw(st.integers(0, len(gens))), combo)
+    return c, gens
+
+
+def _distinct_primitive(gens):
+    out = []
+    for g in gens:
+        p = tuple(x // gcd(*g) for x in g)
+        if p not in out:
+            out.append(p)
+    return out
+
+
+class TestRedundantGenerators:
+    @given(cones_with_redundant_generators())
+    @settings(max_examples=30, deadline=None)
+    def test_keeps_the_generators_outside_the_cone_of_the_others(self, case):
+        c, gens = case
+        distinct = _distinct_primitive(gens)
+        outside = [g for g in distinct
+                   if not cone_contains_lp(g, [h for h in distinct if h != g])]
+        assert list(cone_from_rays(c.ambient_rank, gens).rays) == outside
+
+    @given(cones_with_redundant_generators())
+    @settings(max_examples=30, deadline=None)
+    def test_dual_description_ignores_redundant_generators(self, case):
+        c, gens = case
+        again = cone_from_rays(c.ambient_rank, gens)
+        assert (again.facet_normals, again.span_equations) == (c.facet_normals, c.span_equations)
+
+    @pytest.mark.parametrize("gens, calls", [
+        ([(1, 0), (0, 1)], 1),
+        ([(1, 0), (1, 1), (0, 1)], 2),
+        ([(1, 0, 0), (0, 1, 0)], 1),
+        ([(1, 0, 0), (1, 1, 0), (0, 1, 0)], 2),
+    ])
+    def test_dual_description_is_computed_once_more_only_after_a_drop(
+            self, gens, calls, monkeypatch):
+        seen = []
+        real = cones.dual_constraints
+
+        def counting(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cones, "dual_constraints", counting)
+        cone_from_rays(len(gens[0]), gens)
+        assert len(seen) == calls
 
 
 class TestDualDescription:

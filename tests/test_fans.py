@@ -238,6 +238,14 @@ class TestJsonSchema:
             assert again.rays == fan.rays
             assert [c.rays for c in again.max_cones] == [c.rays for c in fan.max_cones]
 
+    @pytest.mark.parametrize("data", [
+        {"rank": 2, "rays": [[0, 1], [1, 0]], "max_cones": [[1, 0]]},
+        {"rank": 3, "rays": [[0, 0, 1], [1, 0, 0], [0, 1, 0], [-1, -1, -1]],
+         "max_cones": [[1, 2, 0], [3, 1]]},
+    ])
+    def test_dict_roundtrip_keeps_the_files_ray_order(self, data):
+        assert fan_to_dict(fan_from_dict(data)) == data
+
     def test_primitivity_hint(self):
         data = {"rank": 2, "rays": [[2, 0], [0, 1]], "max_cones": [[0, 1]]}
         with pytest.raises(FanValidationError, match=r"not primitive; use \[1, 0\]"):
