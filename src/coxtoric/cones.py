@@ -38,15 +38,10 @@ def dual_constraints(rank: int, generators: Sequence[Vector]) -> tuple[list[Vect
     Works for arbitrary (possibly non-pointed) finitely generated cones:
     a covector is a facet normal iff it is nonnegative on every generator
     and its zero set among the generators spans a hyperplane of the span.
-    Normals are primitive ambient covectors, returned sorted.
+    Normals are primitive ambient covectors, returned sorted.  The result
+    depends only on the set of primitive generators, not on their order.
     """
-    gens = []
-    seen = set()
-    for g in generators:
-        p = primitive_vector(g)
-        if p not in seen:
-            seen.add(p)
-            gens.append(p)
+    gens = sorted({primitive_vector(g) for g in generators})
     equations = kernel_basis(IntMatrix.from_rows(gens, cols=rank))
     d = rank - len(equations)
     if d == 0:
@@ -220,6 +215,6 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
         [u for u in normals if dot(u, g) == 0] + eqs, cols=rank).rank() == rank - 1]
     if len(survivors) < len(gens):
         # the lifted normals of a lower-dimensional cone depend on the
-        # generator list, so they are recomputed from the extreme rays alone
+        # generator set, so they are recomputed from the extreme rays alone
         normals, eqs = dual_constraints(rank, survivors)
     return Cone(rank, tuple(survivors), tuple(normals), tuple(eqs))
