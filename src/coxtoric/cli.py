@@ -142,21 +142,19 @@ def _cmd_properties(args) -> int:
 def _cmd_cox(args) -> int:
     fan = _load_fan(args.fan)
     p = cox_mod.cox_presentation(fan)
+    # H's relation matrix is Q^T: its decomposition is also the class group
     torus_rank, orders = decompose_subgroup(p.kernel_group)
     codim = cox_mod.complement_codim(p)
-    payload = {
+    _emit({
         "m": p.num_coordinates,
         "q_matrix": _matrix_rows(p.q_matrix),
         "sigma_max_cones": [list(s) for s in p.sigma],
         "subgroup": {"torus_rank": torus_rank, "cyclic_orders": list(orders)},
-        "class_group": None,
+        "class_group": {"free": torus_rank, "torsion": list(orders)}
+        if fan.is_nondegenerate() else None,
         "complement_codim": codim,
         "complement_empty": codim == p.num_coordinates + 1,
-    }
-    if fan.is_nondegenerate():
-        free, torsion = cox_mod.class_group(p)
-        payload["class_group"] = {"free": free, "torsion": list(torsion)}
-    _emit(payload, args.json)
+    }, args.json)
     return 0
 
 

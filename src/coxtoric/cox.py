@@ -19,21 +19,18 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .errors import HypothesisError, ToricError
+from .errors import HypothesisError, ShapeError, ToricError
 from .fans import Fan
 from .groups import DiagonalizableSubgroup, WeightAction, is_effective
 from .intlin import (
     IntMatrix,
+    SnfResult,
     Vector,
     cokernel_invariants,
     divisibility_index,
     smith_normal_form,
     solve_integer,
 )
-
-
-def _unit(i: int, m: int) -> Vector:
-    return tuple(1 if k == i else 0 for k in range(m))
 
 
 @dataclass(frozen=True)
@@ -142,16 +139,16 @@ def class_group(p: CoxPresentation) -> tuple[int, tuple[int, ...]]:
     return cokernel_invariants(p.q_matrix.transpose())
 
 
-def degree_of_monomial(p: CoxPresentation, exponents: Sequence[int]) -> ClassGroupElement:
-    """Image of a (Laurent) monomial exponent vector in the grading group,
-    through the Smith change of basis; additive in the exponents."""
+def _grading_snf(p: CoxPresentation) -> SnfResult:
+    """Smith form U * Q^T * V = D; U maps exponent vectors to coordinates
+    in which the grading group is the product of the Z/d_i and Z^free."""
     if not p.delta.is_nondegenerate():
         raise HypothesisError("grading requires a nondegenerate fan")
-    m = p.num_coordinates
-    if len(exponents) != m:
-        raise HypothesisError(f"exponent vector must have length {m}")
-    snf = smith_normal_form(p.q_matrix.transpose())
-    w = snf.U.apply(exponents)
+    return smith_normal_form(p.q_matrix.transpose())
+
+
+def _degree(snf: SnfResult, w: Vector) -> ClassGroupElement:
+    """Grading-group element with Smith coordinates w = U * exponents."""
     rho = snf.rank()
     diag = snf.D.diagonal_entries()
     torsion = tuple(w[i] % diag[i] for i in range(rho) if diag[i] > 1)
@@ -159,10 +156,21 @@ def degree_of_monomial(p: CoxPresentation, exponents: Sequence[int]) -> ClassGro
     return ClassGroupElement(tuple(w[rho:]), torsion, moduli)
 
 
-def ray_degrees(p: CoxPresentation) -> list[ClassGroupElement]:
-    """Degrees of the m coordinate functions; they generate the grading group."""
+def degree_of_monomial(p: CoxPresentation, exponents: Sequence[int]) -> ClassGroupElement:
+    """Image of a (Laurent) monomial exponent vector in the grading group,
+    through the Smith change of basis; additive in the exponents."""
+    snf = _grading_snf(p)
     m = p.num_coordinates
-    return [degree_of_monomial(p, _unit(i, m)) for i in range(m)]
+    if len(exponents) != m:
+        raise HypothesisError(f"exponent vector must have length {m}")
+    return _degree(snf, snf.U.apply(exponents))
+
+
+def ray_degrees(p: CoxPresentation) -> list[ClassGroupElement]:
+    """Degrees of the m coordinate functions; they generate the grading group.
+    The degree of coordinate i is read off column i of U."""
+    snf = _grading_snf(p)
+    return [_degree(snf, w) for w in snf.U.columns()]
 
 
 def lift_subtorus(p: CoxPresentation, iota: IntMatrix) -> LiftResult:
@@ -178,7 +186,7 @@ def lift_subtorus(p: CoxPresentation, iota: IntMatrix) -> LiftResult:
     """
     n = p.delta.rank
     if iota.rows != n:
-        raise HypothesisError(f"iota must have {n} rows")
+        raise ShapeError(f"iota must have {n} rows")
     r = iota.cols
     if iota.rank() != r:
         raise HypothesisError("iota must be injective (full column rank)")

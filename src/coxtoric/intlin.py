@@ -93,12 +93,10 @@ class IntMatrix:
         return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @staticmethod
-    def diagonal(diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> IntMatrix:
-        rows = len(diag) if rows is None else rows
-        cols = len(diag) if cols is None else cols
-        return IntMatrix(rows, cols, tuple(
-            tuple(diag[i] if i == j and i < len(diag) else 0 for j in range(cols))
-            for i in range(rows)))
+    def diagonal(diag: Sequence[int]) -> IntMatrix:
+        n = len(diag)
+        return IntMatrix(n, n, tuple(tuple(diag[i] if i == j else 0 for j in range(n))
+                                     for i in range(n)))
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
@@ -135,9 +133,6 @@ class IntMatrix:
             raise ShapeError("hstack needs equal row counts")
         return IntMatrix(self.rows, self.cols + other.cols,
                          tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
 
     def diagonal_entries(self) -> Vector:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -245,10 +240,11 @@ def _eliminate_row_entry(mats, t, i):
             _combine_rows(mat, t, i, x, y, p, q)
 
 
-def _eliminate_col_entry(mats, t, j):
-    """Column analogue of _eliminate_row_entry, pivot at M[t][t]."""
+def _eliminate_col_entry(mats, r, t, j):
+    """Column analogue of _eliminate_row_entry: zero M[r][j] against the
+    pivot M[r][t] (M = mats[0]) by a unimodular 2-column operation."""
     M = mats[0]
-    a, b = M[t][t], M[t][j]
+    a, b = M[r][t], M[r][j]
     if a and b % a == 0:
         q = b // a
         for mat in mats:
@@ -294,7 +290,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                     _eliminate_row_entry((M, U), t, i)
             for j in range(t + 1, n):
                 if M[t][j]:
-                    _eliminate_col_entry((M, V), t, j)
+                    _eliminate_col_entry((M, V), t, t, j)
             if any(M[i][t] for i in range(t + 1, m)):
                 continue
             piv = M[t][t]
@@ -349,17 +345,7 @@ def column_hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, tupl
             _swap_cols(V, c, j0)
         for j in range(c + 1, n):
             if M[i][j]:
-                a, b = M[i][c], M[i][j]
-                if b % a == 0:
-                    q = b // a
-                    for mat in (M, V):
-                        for row in mat:
-                            row[j] -= q * row[c]
-                else:
-                    g, x, y = _xgcd(a, b)
-                    p, q = a // g, b // g
-                    _combine_cols(M, c, j, x, y, p, q)
-                    _combine_cols(V, c, j, x, y, p, q)
+                _eliminate_col_entry((M, V), i, c, j)
         if M[i][c] < 0:
             for row in M:
                 row[c] = -row[c]
@@ -447,17 +433,19 @@ def cokernel_invariants(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
 
 
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a square integer matrix with |det| = 1."""
+    """Exact inverse of a square integer matrix with |det| = 1.
+
+    A square matrix is unimodular iff its column Hermite form H = A*V is
+    the identity, and then V is the inverse; one Hermite form answers both.
+    """
     if a.rows != a.cols:
         raise ShapeError("only square matrices can be inverted")
-    cols = []
-    for j in range(a.rows):
-        e = tuple(1 if i == j else 0 for i in range(a.rows))
-        x = solve_integer(a, e)
-        if x is None:
-            raise ShapeError("matrix is not unimodular")
-        cols.append(x)
-    return IntMatrix.from_columns(cols, rows=a.rows)
+    H, V, _ = column_hermite_normal_form(a)
+    identity = IntMatrix.identity(a.rows)
+    if H != identity:
+        raise ShapeError("matrix is not unimodular")
+    assert a @ V == identity
+    return V
 
 
 def saturation_basis(a: IntMatrix) -> IntMatrix:

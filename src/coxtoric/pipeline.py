@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cox import CoxPresentation, class_group, cox_presentation
+from .cox import CoxPresentation, cox_presentation
 from .errors import ShapeError, UnsupportedShapeError
 from .fans import Fan
 from .groups import WeightAction, decompose_subgroup, is_effective
@@ -59,14 +59,14 @@ class PipelineReport:
         }
 
 
-def _cox_summary(p: CoxPresentation) -> dict:
-    free, torsion = (class_group(p) if p.delta.is_nondegenerate()
-                     else (None, None))
+def _cox_summary(p: CoxPresentation, nondegenerate: bool) -> dict:
+    # H's relation matrix is Q^T, so its decomposition is the class group
+    # Z^m / im(Q^T), which is defined for a nondegenerate fan
     torus_rank, orders = decompose_subgroup(p.kernel_group)
     return {
         "m": p.num_coordinates,
-        "class_group": None if free is None
-        else {"free": free, "torsion": list(torsion)},
+        "class_group": {"free": torus_rank, "torsion": list(orders)}
+        if nondegenerate else None,
         "subgroup": {"torus_rank": torus_rank, "cyclic_orders": list(orders)},
     }
 
@@ -86,7 +86,7 @@ def theorem_pipeline(delta: Fan, action: WeightAction) -> PipelineReport:
         holes = NOT_CERTIFIED
 
     p = cox_presentation(delta)
-    summary = _cox_summary(p)
+    summary = _cox_summary(p, nondegenerate)
     effective = is_effective(action)
 
     qt = p.q_matrix.transpose()

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -131,6 +132,24 @@ class TestCliCommands:
         assert data["m"] == 2
         assert data["subgroup"] == {"torus_rank": 0, "cyclic_orders": [2]}
 
+    @pytest.mark.parametrize("command", ["cox", "pipeline"])
+    def test_request_puts_q_transpose_in_smith_form_once(
+            self, command, fan_files, tmp_path, corpus, monkeypatch, capsys):
+        seen = []
+        real = sys.modules["coxtoric.intlin"].smith_normal_form
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("coxtoric") and getattr(mod, "smith_normal_form", None) is real:
+                monkeypatch.setattr(mod, "smith_normal_form",
+                                    lambda a: seen.append(a) or real(a))
+        args = [command, fan_files["p112"], "--json"]
+        if command == "pipeline":
+            args += ["--weights", write(tmp_path, "w.json", {"rank": 1, "weights": [[1, 0, 0]]})]
+        main(args)
+        assert seen.count(IntMatrix.from_rows(corpus["p112"].rays)) == 1
+        data = json.loads(capsys.readouterr().out)
+        summary = data["cox"] if command == "pipeline" else data
+        assert summary["class_group"] == {"free": 1, "torsion": []}
+
     def test_cox_keeps_the_files_ray_order(self, tmp_path, capsys):
         path = write(tmp_path, "swapped.json",
                      {"rank": 2, "rays": [[0, 1], [1, 0]], "max_cones": [[1, 0]]})
@@ -235,6 +254,11 @@ class TestCliErrors:
     def test_lift_non_injective_exits_1(self, fan_files, tmp_path, capsys):
         iota = write(tmp_path, "iota.json", [[1, 2], [2, 4]])
         assert main(["lift", fan_files["p2"], "--iota", iota]) == 1
+
+    def test_lift_iota_with_wrong_row_count_exits_2(self, fan_files, tmp_path, capsys):
+        iota = write(tmp_path, "iota.json", [[1], [0], [0]])
+        assert main(["lift", fan_files["p2"], "--iota", iota]) == 2
+        assert capsys.readouterr().err == "error: iota must have 2 rows\n"
 
     @pytest.mark.parametrize("command, payload", [
         ("validate", {"rank": 2, "rays": 5, "max_cones": [[0]]}),

@@ -1,5 +1,6 @@
 import pytest
 
+from coxtoric import cox
 from coxtoric.cox import (
     acts_freely,
     class_group,
@@ -170,10 +171,28 @@ class TestClassGroup:
             stacked = IntMatrix.from_columns(cols, rows=size)
             assert cokernel_invariants(stacked) == (0, ()), name
 
-    def test_kernel_group_decomposition_matches_class_group(self, corpus):
-        for name, fan in corpus.items():
+    def test_kernel_group_decomposition_matches_class_group(self, corpus, rng):
+        # the cox and pipeline requests read the class group off H's
+        # decomposition, relying on this identity
+        fans = list(corpus.values())
+        for _ in range(10):
+            fans.append(random_simplicial_fan(rng, rng.randint(1, 3)))
+            fans.append(random_complete_simplicial_fan(rng, rng.randint(1, 3)))
+        for fan in fans:
+            assert fan.is_nondegenerate()
             p = cox_presentation(fan)
-            assert decompose_subgroup(p.kernel_group) == class_group(p), name
+            assert decompose_subgroup(p.kernel_group) == class_group(p), fan
+
+    def test_ray_degrees_use_one_smith_form(self, corpus, monkeypatch):
+        calls = []
+        real = cox.smith_normal_form
+        monkeypatch.setattr(cox, "smith_normal_form",
+                            lambda a: calls.append(a) or real(a))
+        p = cox_presentation(corpus["p112"])
+        degrees = ray_degrees(p)
+        assert calls == [p.q_matrix.transpose()]
+        # the same degrees as one monomial at a time
+        assert degrees == [degree_of_monomial(p, _unit(i, 3)) for i in range(3)]
 
 
 class TestLiftSubtorus:

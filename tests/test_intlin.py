@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coxtoric import intlin
 from coxtoric.errors import InvalidRayError, ShapeError
 from coxtoric.intlin import (
     IntMatrix,
@@ -39,6 +40,23 @@ def M(rows):
     return IntMatrix.from_rows(rows)
 
 
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary row operations on the n x n identity."""
+    n = draw(st.integers(1, 6))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = st.tuples(st.integers(0, 2), st.integers(0, n - 1), st.integers(0, n - 1),
+                    st.integers(-3, 3))
+    for op, i, j, c in draw(st.lists(ops, max_size=12)):
+        if op == 0 and i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        elif op == 1:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-a for a in rows[i]]
+    return IntMatrix.from_rows(rows)
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         s = smith_normal_form(IntMatrix.identity(3))
@@ -56,7 +74,7 @@ class TestSmithNormalForm:
         rows = [[1, 0], [0, 1], [-1, -1]]
         assert invariant_factors_by_minors(rows) == [1, 1]
         s = smith_normal_form(M(rows))
-        assert s.D == IntMatrix.diagonal([1, 1], rows=3, cols=2)
+        assert s.D == M([[1, 0], [0, 1], [0, 0]])
 
     def test_empty(self):
         for shape in [(0, 0), (0, 3), (3, 0)]:
@@ -264,6 +282,30 @@ class TestSaturationAndInverse:
     def test_invert_unimodular(self):
         u = M([[1, 2], [0, 1]])
         assert u @ invert_unimodular(u) == IntMatrix.identity(2)
+
+    @given(unimodular_matrices())
+    def test_inverse_of_random_unimodular(self, u):
+        inv = invert_unimodular(u)
+        assert u @ inv == inv @ u == IntMatrix.identity(u.rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[2]], [[1, 1], [1, 1]], [[2, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]])
+    def test_invert_rejects_non_unimodular(self, rows):
+        with pytest.raises(ShapeError):
+            invert_unimodular(M(rows))
+
+    def test_saturation_factors_u_once(self, monkeypatch):
+        calls = {"column_hermite_normal_form": 0, "solve_integer": 0}
+        for name in calls:
+            real = getattr(intlin, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(intlin, name, counting)
+        saturation_basis(M([[2, 4, 0], [0, 6, 3], [1, 1, 1], [3, 0, 2]]))
+        assert calls == {"column_hermite_normal_form": 1, "solve_integer": 0}
 
     def test_saturation_of_doubled_lattice(self):
         sat = saturation_basis(M([[2], [0]]))
