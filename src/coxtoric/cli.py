@@ -72,7 +72,9 @@ def _load_matrix(path: str, what: str) -> IntMatrix:
     return _parse_matrix(_load_json(path), what)
 
 
-def _parse_weight_action(data) -> WeightAction:
+def _parse_weight_action(data, cols: int | None = None) -> WeightAction:
+    """`cols`, when given, is the width of a rank-0 action's weight matrix,
+    which its empty list of rows does not carry."""
     if not isinstance(data, dict) or "rank" not in data or "weights" not in data:
         raise InputError('weights file must be {"rank": r, "weights": [[..], ..]}')
     rank = data["rank"]
@@ -81,6 +83,8 @@ def _parse_weight_action(data) -> WeightAction:
     weights = _parse_matrix(data["weights"], "weights")
     if weights.rows != rank:
         raise InputError(f"weights matrix has {weights.rows} rows, rank says {rank}")
+    if rank == 0 and cols is not None:
+        weights = IntMatrix.zero(0, cols)
     return WeightAction(rank, weights)
 
 
@@ -215,7 +219,7 @@ def _cmd_diag(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     fan = _load_fan(args.fan)
-    action = _parse_weight_action(_load_json(args.weights))
+    action = _parse_weight_action(_load_json(args.weights), len(fan.rays))
     report = theorem_pipeline(fan, action)
     _emit(report.to_dict(), args.json)
     return 0 if report.hypotheses_met else 1

@@ -7,7 +7,10 @@ decided exactly over the integers/rationals.
 
 There is one facet search, `dual_constraints`: brute force over the
 (dim-1)-subsets of generators, which is entirely adequate at the intended
-scale (at most a dozen rays).  The other direction reuses it by duality:
+scale (at most a dozen rays).  A subset's candidate normal is its vector of
+signed maximal minors divided by their gcd (`kernel_generator`, one Bareiss
+elimination); only the span equations of the generators take a Smith
+form.  The other direction reuses the search by duality:
 `cone_from_rays` reads the extreme rays off the dual description of its
 generators, and `Cone.intersect` finds the extreme rays of an intersection
 as the facet normals of the cone that the pooled facet normals generate.
@@ -25,6 +28,7 @@ from .intlin import (
     Vector,
     dot,
     kernel_basis,
+    kernel_generator,
     primitive_vector,
     saturation_basis,
     smith_normal_form,
@@ -59,12 +63,13 @@ def dual_constraints(rank: int, generators: Sequence[Vector]) -> tuple[list[Vect
             coords.append(c)
 
     normals = set()
-    for subset in combinations(coords, d - 1):
-        ker = kernel_basis(IntMatrix.from_rows(subset, cols=d))
-        if len(ker) != 1:
+    for subset in combinations(range(len(coords)), d - 1):
+        u = kernel_generator([coords[i] for i in subset], d)
+        if u is None:
             continue
-        u = ker[0]
         values = [dot(u, c) for c in coords]
+        if any(values[i] for i in subset):
+            raise ArithmeticError(f"candidate normal {u} is not zero on its generators")
         if all(v >= 0 for v in values):
             normals.add(u)
         elif all(v <= 0 for v in values):
@@ -207,8 +212,9 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
             gens.append(p)
 
     normals, eqs = dual_constraints(rank, gens)
-    lineality = kernel_basis(IntMatrix.from_rows(normals + eqs, cols=rank))
-    if lineality:
+    constraints = IntMatrix.from_rows(normals + eqs, cols=rank)
+    if constraints.rank() < rank:
+        lineality = kernel_basis(constraints)
         raise StrongConvexityError(
             f"cone of {list(gens)} contains the line through {lineality[0]}")
     survivors = [g for g in gens if IntMatrix.from_rows(

@@ -98,17 +98,21 @@ def complement_codim(p: CoxPresentation) -> int:
 
     Equals the smallest dimension of an orthant face missing from Sigma;
     when no face is missing the complement is empty and the sentinel m+1
-    is returned.
+    is returned.  No face of Sigma is larger than its largest index set, of
+    size L, so the search stops at size L and answers L+1 if it finds none.
     """
     m = p.num_coordinates
     # an empty Sigma still holds the zero face, the empty index set
     face_sets = [frozenset(s) for s in p.sigma] or [frozenset()]
-    for size in range(m + 1):
+    largest = max(len(t) for t in face_sets)
+    if largest == m:
+        return m + 1
+    for size in range(largest + 1):
         for subset in combinations(range(m), size):
             s = frozenset(subset)
             if not any(s <= t for t in face_sets):
                 return size
-    return m + 1
+    return largest + 1
 
 
 def acts_freely(p: CoxPresentation) -> bool:
@@ -159,10 +163,10 @@ def _degree(snf: SnfResult, w: Vector) -> ClassGroupElement:
 def degree_of_monomial(p: CoxPresentation, exponents: Sequence[int]) -> ClassGroupElement:
     """Image of a (Laurent) monomial exponent vector in the grading group,
     through the Smith change of basis; additive in the exponents."""
-    snf = _grading_snf(p)
     m = p.num_coordinates
     if len(exponents) != m:
-        raise HypothesisError(f"exponent vector must have length {m}")
+        raise ShapeError(f"exponent vector must have length {m}")
+    snf = _grading_snf(p)
     return _degree(snf, snf.U.apply(exponents))
 
 

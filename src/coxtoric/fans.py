@@ -261,6 +261,8 @@ def fan_from_dict(data: dict) -> Fan:
         if not isinstance(idxs, list) or not all(
                 type(i) is int and 0 <= i < len(parsed_rays) for i in idxs):
             raise FanValidationError(f"max_cones[{k}] must list valid ray indices")
+        if len(set(idxs)) != len(idxs):
+            raise FanValidationError(f"max_cones[{k}] lists a ray index more than once")
         used.update(idxs)
         cones.append(cone_from_rays(rank, [parsed_rays[i] for i in idxs]))
     if used != set(range(len(parsed_rays))):

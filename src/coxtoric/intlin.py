@@ -137,46 +137,74 @@ class IntMatrix:
     def diagonal_entries(self) -> Vector:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
-    def _bareiss(self) -> tuple[int, int]:
-        """Fraction-free (Bareiss) row elimination, independent of SNF.
-
-        Returns (rank, signed last pivot).  When the matrix is square of
-        full rank the signed last pivot is its determinant; it is 1 when
-        there are no pivots.
-        """
-        m, n = self.rows, self.cols
-        M = [list(row) for row in self.entries]
-        r = 0
-        prev = sign = 1
-        for j in range(n):
-            if r == m:
-                break
-            piv = next((i for i in range(r, m) if M[i][j]), None)
-            if piv is None:
-                continue
-            if piv != r:
-                M[r], M[piv] = M[piv], M[r]
-                sign = -sign
-            for i in range(r + 1, m):
-                for k in range(j + 1, n):
-                    # exact by the Sylvester determinant identity
-                    M[i][k] = (M[i][k] * M[r][j] - M[i][j] * M[r][k]) // prev
-            prev = M[r][j]
-            r += 1
-        return r, sign * prev
-
     def rank(self) -> int:
         """Rank by fraction-free (Bareiss) elimination, independent of SNF."""
-        return self._bareiss()[0]
+        return _bareiss([list(row) for row in self.entries], self.cols)[0]
 
     def det(self) -> int:
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        rank, pivot = self._bareiss()
+        rank, pivot, _ = _bareiss([list(row) for row in self.entries], self.cols)
         return pivot if rank == self.rows else 0
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(a) for a in row) for row in self.entries) + "]"
+
+
+def _bareiss(M: list[list[int]], cols: int) -> tuple[int, int, list[int]]:
+    """Fraction-free (Bareiss) row elimination of the row lists M, in place.
+
+    Returns (rank, signed last pivot, pivot columns).  Afterwards row r
+    holds its pivot in column pivots[r] and is exact to the right of it;
+    entries to the left of a pivot are left uncleared.  When M is square of
+    full rank the signed last pivot is its determinant; it is 1 when there
+    are no pivots.
+    """
+    m = len(M)
+    pivots: list[int] = []
+    r = 0
+    prev = sign = 1
+    for j in range(cols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if M[i][j]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        for i in range(r + 1, m):
+            for k in range(j + 1, cols):
+                # exact by the Sylvester determinant identity
+                M[i][k] = (M[i][k] * M[r][j] - M[i][j] * M[r][k]) // prev
+        prev = M[r][j]
+        pivots.append(j)
+        r += 1
+    return r, sign * prev, pivots
+
+
+def kernel_generator(rows: Sequence[Sequence[int]], cols: int) -> Vector | None:
+    """Primitive generator of ker(A) in Z^cols when that kernel has rank 1,
+    else None; A is given by its rows.
+
+    For A of shape (cols-1) x cols this is, up to sign, the vector of signed
+    maximal minors of A divided by their gcd.  The free column's entry is
+    set to the last Bareiss pivot, which is +-the minor on the pivot
+    columns; by Cramer's rule the kernel vector with that entry is
+    integral, so back-substitution through the fraction-free echelon rows
+    divides exactly.
+    """
+    M = [list(row) for row in rows]
+    rank, last, pivots = _bareiss(M, cols)
+    if rank != cols - 1:
+        return None
+    x = [0] * cols
+    x[next(j for j in range(cols) if j not in pivots)] = last
+    for r in reversed(range(rank)):
+        p = pivots[r]
+        row = M[r]
+        x[p] = -sum(row[k] * x[k] for k in range(p + 1, cols)) // row[p]
+    return primitive_vector(x)
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,14 @@ class TestCliCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["diagnostic"] == "wrong-dimension"
 
+    @pytest.mark.parametrize("name", ["a1", "p1"])
+    def test_pipeline_reads_a_rank_0_weights_file_on_a_rank_1_fan(
+            self, name, fan_files, tmp_path, capsys):
+        w = write(tmp_path, "w.json", {"rank": 0, "weights": []})
+        assert main(["pipeline", fan_files[name], "--weights", w, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["hypotheses_met"] is True and data["input_torus_rank"] == 0
+
 
 class TestCliErrors:
     def test_malformed_json_exit_2_with_position(self, tmp_path, capsys):
@@ -269,6 +277,7 @@ class TestCliErrors:
                   "monomial_matrices": [{"perm": [1, 0], "scalars": "12"}]}),
         ("diag", {"rank": 1, "weights": [[1, -1]],
                   "monomial_matrices": [{"perm": [1, 0], "scalars": [0.5, True]}]}),
+        ("validate", {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 0, 1]]}),
     ])
     def test_malformed_schema_exits_2(self, command, payload, tmp_path, capsys):
         path = write(tmp_path, "bad.json", payload)

@@ -61,6 +61,11 @@ class TestConstruction:
         with pytest.raises(StrongConvexityError):
             cone_from_rays(2, [(1, 0), (-1, 1), (0, -1)])
 
+    def test_line_message_names_the_lineality_vector(self):
+        with pytest.raises(StrongConvexityError) as err:
+            cone_from_rays(2, [(1, 0), (-1, 0)])
+        assert str(err.value) == "cone of [(1, 0), (-1, 0)] contains the line through (1, 0)"
+
     def test_zero_generator_rejected(self):
         with pytest.raises(InvalidRayError):
             cone_from_rays(2, [(0, 0)])
@@ -156,6 +161,26 @@ class TestDualDescription:
         assert c.contains_point((3, 3))
         assert not c.contains_point((-1, -1))
         assert not c.contains_point((1, 2))
+
+    @pytest.mark.parametrize("gens", [
+        [(1, 0), (1, 2)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, -1, 1), (-1, 1, 1, 1)],
+    ])
+    def test_full_dimensional_cone_takes_one_kernel(self, gens, monkeypatch):
+        # the span equations take one kernel; the C(k, d-1) candidate
+        # normals come from minors, not from kernels
+        calls = []
+        real = cones.kernel_basis
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(cones, "kernel_basis", counting)
+        normals, equations = cones.dual_constraints(len(gens[0]), gens)
+        assert len(calls) == 1 and equations == [] and normals
 
     @given(pointed_cones())
     def test_dual_of_dual_roundtrip(self, c):

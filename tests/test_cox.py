@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import comb
+
 import pytest
 
 from coxtoric import cox
@@ -11,7 +14,8 @@ from coxtoric.cox import (
     ray_degrees,
     variety_is_smooth,
 )
-from coxtoric.errors import HypothesisError
+from coxtoric.corpus import affine_space
+from coxtoric.errors import HypothesisError, ShapeError
 from coxtoric.fans import fan_from_max_cones, is_map_of_fans
 from coxtoric.cones import cone_from_rays
 from coxtoric.groups import decompose_subgroup
@@ -98,6 +102,51 @@ class TestComplementCodim:
         for name, fan in corpus.items():
             assert complement_codim(cox_presentation(fan)) >= 2, name
 
+    @staticmethod
+    def _unbounded(p):
+        """The search over every subset size, up to m."""
+        m = p.num_coordinates
+        faces = [set(s) for s in p.sigma] or [set()]
+        for size in range(m + 1):
+            for subset in combinations(range(m), size):
+                if not any(set(subset) <= t for t in faces):
+                    return size
+        return m + 1
+
+    def test_bounded_search_agrees_with_the_full_one(self, corpus, rng):
+        for name, fan in corpus.items():
+            p = cox_presentation(fan)
+            assert complement_codim(p) == self._unbounded(p), name
+        for _ in range(30):
+            rank = rng.randint(1, 3)
+            fan = (random_simplicial_fan(rng, rank) if rng.random() < 0.5
+                   else random_complete_simplicial_fan(rng, rank))
+            p = cox_presentation(fan)
+            assert complement_codim(p) == self._unbounded(p)
+
+    def _count_subsets(self, monkeypatch):
+        seen = []
+
+        def counting(pool, size):
+            for subset in combinations(pool, size):
+                seen.append(subset)
+                yield subset
+
+        monkeypatch.setattr(cox, "combinations", counting)
+        return seen
+
+    def test_affine_space_answers_without_a_search(self, monkeypatch):
+        seen = self._count_subsets(monkeypatch)
+        assert complement_codim(cox_presentation(affine_space(16))) == 17
+        assert seen == []
+
+    def test_search_stops_at_the_largest_index_set_size(self, corpus, monkeypatch):
+        # the index sets of P^2 have size 2 and every 2-set is a face, so
+        # only the sizes 0, 1 and 2 are searched before the answer 3
+        seen = self._count_subsets(monkeypatch)
+        assert complement_codim(cox_presentation(corpus["p2"])) == 3
+        assert len(seen) == comb(3, 0) + comb(3, 1) + comb(3, 2)
+
 
 class TestFreenessSmoothness:
     def test_spot_values(self, corpus):
@@ -150,6 +199,10 @@ class TestClassGroup:
         total = tuple(x + y for x, y in zip(a, b))
         assert degree_of_monomial(p, a) + degree_of_monomial(p, b) == \
             degree_of_monomial(p, total)
+
+    def test_exponent_vector_of_wrong_length_is_a_shape_error(self, corpus):
+        with pytest.raises(ShapeError, match="length 3"):
+            degree_of_monomial(cox_presentation(corpus["p2"]), (1, 0))
 
     def test_degenerate_fan_rejected(self):
         fan = fan_from_max_cones(2, [cone_from_rays(2, [(1, 0)])])

@@ -266,6 +266,12 @@ class TestJsonSchema:
         with pytest.raises(FanValidationError, match="valid ray indices"):
             fan_from_dict(data)
 
+    def test_repeated_index_in_a_cone_rejected(self):
+        data = {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1], [1, 0, 1]]}
+        with pytest.raises(FanValidationError,
+                           match=r"max_cones\[1\] lists a ray index more than once"):
+            fan_from_dict(data)
+
     def test_roundtrip_random_fans(self, rng):
         for _ in range(10):
             fan = random_simplicial_fan(rng, rng.randint(1, 3))

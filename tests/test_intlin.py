@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxtoric import intlin
@@ -13,6 +13,7 @@ from coxtoric.intlin import (
     divisibility_index,
     invert_unimodular,
     kernel_basis,
+    kernel_generator,
     lattice_canonical_form,
     lattice_membership,
     primitive_vector,
@@ -194,6 +195,43 @@ class TestKernel:
         for v in basis:
             assert a.apply(v) == (0,) * a.rows
             assert primitive_vector(v) == v
+
+
+@st.composite
+def corank_one_shapes(draw):
+    """(rows, d): a (d-1) x d integer matrix, rank-deficient about half the
+    time, by a zero row or a row that combines two others."""
+    d = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+                         min_size=d - 1, max_size=d - 1))
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(0, len(rows) - 1))
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])] if i != k != j \
+            else [0] * d
+    return rows, d
+
+
+class TestKernelGenerator:
+    @given(corank_one_shapes())
+    @settings(max_examples=200)
+    def test_agrees_with_kernel_basis_up_to_sign(self, shape):
+        rows, d = shape
+        basis = kernel_basis(IntMatrix.from_rows(rows, cols=d))
+        u = kernel_generator(rows, d)
+        if len(basis) == 1:
+            assert u in (basis[0], tuple(-x for x in basis[0]))
+        else:
+            assert u is None
+
+    def test_examples(self):
+        assert kernel_generator([], 1) == (1,)
+        assert kernel_generator([[2, 4]], 2) in [(2, -1), (-2, 1)]
+        assert kernel_generator([[0, 0]], 2) is None
+        assert kernel_generator([[1, 0], [0, 1]], 2) is None
+        # the signed maximal minors of [[1, 2, 3], [4, 5, 6]] are (-3, 6, -3)
+        assert kernel_generator([[1, 2, 3], [4, 5, 6]], 3) in [(1, -2, 1), (-1, 2, -1)]
 
 
 class TestPrimitiveVector:
