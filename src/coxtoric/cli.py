@@ -192,6 +192,8 @@ def _cmd_lift(args) -> int:
 def _cmd_diag(args) -> int:
     data = _load_json(args.weights)
     action = _parse_weight_action(data)
+    if action.weights.cols == 0:
+        raise InputError("weights matrix has no columns: the action has no coordinates")
     monomial_matrices = data.get("monomial_matrices", [])
     if not isinstance(monomial_matrices, list):
         raise InputError("monomial_matrices must be a list")

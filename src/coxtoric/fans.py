@@ -2,9 +2,15 @@
 
 A fan is a finite collection of strongly convex cones closed under taking
 faces, in which any two cones intersect in a common face.  Construction
-validates the axioms on the given maximal cones; every cone is a face of a
-maximal one, so membership, maps of fans and walls are decided on the
-maximal cones, and the face closure `all_cones` is built on first read.
+validates the axioms on the given maximal cones by the separation lemma
+(Fulton, *Introduction to Toric Varieties*, 1.2; Cox-Little-Schenck, Lemma
+1.2.13): sigma and tau meet in a common face iff some covector u, >= 0 on
+sigma and <= 0 on tau, vanishes on the same rays F of both, and then
+sigma meets tau in cone(F).  Every cone is a face of a maximal one, so
+membership, maps of fans and walls are decided on the maximal cones, and
+the face closure `all_cones` is built on first read.  In a validated fan a
+cone whose rays are all rays of a maximal cone is a face of it, so wall
+incidence is read off ray-set inclusion.
 The ray order of a fan fixes coordinates downstream: it is the order of the
 file's `rays` list for a fan read by `fan_from_dict`, and the first-appearance
 order across the maximal cones for one built by `fan_from_max_cones`.
@@ -16,7 +22,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .cones import Cone, cone_from_rays, dual_constraints, zero_cone
 from .errors import FanValidationError, ShapeError, UnsupportedShapeError
@@ -69,20 +76,28 @@ class Fan:
         """The cones of dimension rank-1, each once: the facets of the
         full-dimensional covering cones and the covering cones of dimension
         rank-1, in the order of those cones and of their facet normals."""
-        faces: list[Cone] = []
+        return [Wall(cone_from_rays(self.rank, rays), incident)
+                for rays, incident in self._wall_incidence()]
+
+    def _wall_incidence(self) -> Iterator[tuple[tuple[Vector, ...], tuple[int, ...]]]:
+        """The rays of each wall, in the order of `walls`, with the indices
+        of the maximal cones having it as a face: those whose rays include
+        the wall's rays."""
+        ray_sets = [frozenset(mc.rays) for mc in self.max_cones]
         seen = set()
         for mc in self._covering_cones():
             if mc.dim == self.rank - 1:
-                faces.append(mc)
+                candidates = [mc.rays]
             elif mc.dim == self.rank:
-                for u in mc.facet_normals:
-                    rays = tuple(r for r in mc.rays if dot(u, r) == 0)
-                    key = frozenset(rays)
-                    if key not in seen:
-                        seen.add(key)
-                        faces.append(cone_from_rays(self.rank, rays))
-        return [Wall(f, tuple(i for i, mc in enumerate(self.max_cones) if f.is_face_of(mc)))
-                for f in faces]
+                candidates = (tuple(r for r in mc.rays if dot(u, r) == 0)
+                              for u in mc.facet_normals)
+            else:
+                continue
+            for rays in candidates:
+                key = frozenset(rays)
+                if key not in seen:
+                    seen.add(key)
+                    yield rays, tuple(i for i, s in enumerate(ray_sets) if key <= s)
 
     def is_complete(self) -> bool:
         """Whether the fan's support is the whole space.
@@ -94,7 +109,7 @@ class Fan:
             return False
         if any(c.dim != self.rank for c in self.max_cones):
             return False
-        return all(len(w.incident) == 2 for w in self.walls())
+        return all(len(incident) == 2 for _, incident in self._wall_incidence())
 
     def has_convex_support(self) -> bool:
         """Whether the support (union of the cones) is itself a convex cone.
@@ -129,7 +144,9 @@ class Fan:
             reduced_cones = []
             for mc in self.max_cones:
                 coords = [solve_integer(basis, r) for r in mc.rays]
-                assert all(c is not None for c in coords)
+                if any(c is None for c in coords):
+                    raise ArithmeticError(
+                        f"a ray of {mc!r} has no coordinates in the saturated span of the rays")
                 reduced_cones.append(cone_from_rays(span_dim, coords))
             reduced = fan_from_max_cones(span_dim, reduced_cones)
             convex, witness = reduced._convex_support_analysis()
@@ -142,26 +159,30 @@ class Fan:
                 "support is not pure full-dimensional; convexity not certified")
 
         hull_normals, hull_eqs = dual_constraints(self.rank, self.rays)
-        assert not hull_eqs
-        for wall in self.walls():
-            if len(wall.incident) != 1:
+        if hull_eqs:
+            raise ArithmeticError(
+                f"rays of rank {self.rank} have hull span equations {hull_eqs}")
+        for rays, incident in self._wall_incidence():
+            if len(incident) != 1:
                 continue
-            in_hull_facet = any(all(dot(u, r) == 0 for r in wall.face.rays)
-                                for u in hull_normals)
+            in_hull_facet = any(all(dot(u, r) == 0 for r in rays) for u in hull_normals)
             if in_hull_facet:
                 continue
-            witness = self._boundary_witness(wall, hull_normals)
+            witness = self._boundary_witness(rays, incident[0], hull_normals)
             return False, witness
         return True, None
 
-    def _boundary_witness(self, wall: Wall, hull_normals) -> tuple[Fraction, ...]:
-        """A point just outside the support across a bad boundary wall."""
-        sigma = self.max_cones[wall.incident[0]]
+    def _boundary_witness(self, wall_rays, index: int, hull_normals) -> tuple[Fraction, ...]:
+        """A point just outside the support across the boundary wall with
+        rays `wall_rays` of maximal cone `index`."""
+        sigma = self.max_cones[index]
         facet_normal = next(u for u in sigma.facet_normals
-                            if all(dot(u, r) == 0 for r in wall.face.rays))
-        x0 = tuple(sum(col) for col in zip(*wall.face.rays))
+                            if all(dot(u, r) == 0 for r in wall_rays))
+        x0 = tuple(sum(col) for col in zip(*wall_rays))
         away = tuple(-sum(col) for col in zip(*sigma.rays))
-        assert dot(facet_normal, away) < 0
+        if dot(facet_normal, away) >= 0:
+            raise ArithmeticError(
+                f"facet normal {facet_normal} of {sigma!r} is not negative on {away}")
         k = 1
         for _ in range(64):
             p = tuple(Fraction(a) + Fraction(b, k) for a, b in zip(x0, away))
@@ -169,15 +190,53 @@ class Fan:
             if in_hull and not self.contains_point(p):
                 return p
             k *= 2
-        raise AssertionError("no witness found; criterion inconsistent")
+        raise ArithmeticError("no witness found; convex-support criterion inconsistent")
+
+
+def _cut_out(u: Vector, sigma: Cone, tau: Cone):
+    """The rays of sigma and of tau on which u vanishes, or None unless u
+    is >= 0 on the rays of sigma and <= 0 on those of tau."""
+    values = [dot(u, r) for r in sigma.rays]
+    if any(v < 0 for v in values):
+        return None
+    sigma_zero = [r for r, v in zip(sigma.rays, values) if v == 0]
+    values = [dot(u, r) for r in tau.rays]
+    if any(v > 0 for v in values):
+        return None
+    return sigma_zero, [r for r, v in zip(tau.rays, values) if v == 0]
+
+
+def _separation(rank: int, sigma: Cone, tau: Cone):
+    """A covector u >= 0 on sigma and <= 0 on tau with the rays it cuts out
+    of each, (u, F, G); F and G are the same set iff sigma meets tau in a
+    common face, which is then cone(F).
+
+    A facet normal of sigma or a negated one of tau settles most pairs by
+    dot products.  Otherwise u is the sum of the facet normals of
+    cone(sigma, -tau), which lies in the relative interior of the dual
+    cone (sigma - tau)^v, where the lemma is exact in both directions.
+    """
+    for u in chain(sigma.facet_normals, (tuple(-x for x in n) for n in tau.facet_normals)):
+        cut = _cut_out(u, sigma, tau)
+        if cut is not None and set(cut[0]) == set(cut[1]):
+            return (u, *cut)
+    normals, _ = dual_constraints(rank, sigma.rays + tuple(tuple(-x for x in r) for r in tau.rays))
+    u = tuple(sum(col) for col in zip(*normals)) if normals else (0,) * rank
+    cut = _cut_out(u, sigma, tau)
+    if cut is None:
+        raise ArithmeticError(f"sum of facet normals {u} does not separate {sigma!r} from {tau!r}")
+    return (u, *cut)
 
 
 def fan_from_max_cones(rank: int, cones: Sequence[Cone]) -> Fan:
     """Validate the fan axioms on the maximal cones.
 
-    Raises FanValidationError naming the offending pair when two cones
-    intersect in a set that is not a common face (overlap) and when one
-    maximal cone lies inside another (containment).
+    Each pair (sigma, tau) is decided by one separating covector u, >= 0 on
+    sigma and <= 0 on tau (see `_separation`): they meet in a common face
+    iff u vanishes on the same rays F of both.  Raises FanValidationError
+    naming the offending pair when it does not (overlap, with u and the two
+    ray sets as evidence) and when F is all the rays of one of the cones
+    (containment).
     """
     cones = tuple(cones)
     for c in cones:
@@ -185,15 +244,15 @@ def fan_from_max_cones(rank: int, cones: Sequence[Cone]) -> Fan:
             raise ShapeError(f"cone of ambient rank {c.ambient_rank} in a rank {rank} fan")
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
-            inter = cones[i].intersect(cones[j])
-            if not (inter.is_face_of(cones[i]) and inter.is_face_of(cones[j])):
+            u, sigma_zero, tau_zero = _separation(rank, cones[i], cones[j])
+            if set(sigma_zero) != set(tau_zero):
                 raise FanValidationError(
-                    f"cones {i} and {j} overlap: their intersection "
-                    f"{inter!r} is not a common face")
-            if inter == cones[i] or inter == cones[j]:
-                raise FanValidationError(
-                    f"maximal cone {i if inter == cones[i] else j} is contained "
-                    f"in maximal cone {j if inter == cones[i] else i}")
+                    f"cones {i} and {j} overlap: u = {u} cuts out rays {sigma_zero} "
+                    f"of cone {i} but rays {tau_zero} of cone {j}")
+            if len(sigma_zero) == len(cones[i].rays):
+                raise FanValidationError(f"maximal cone {i} is contained in maximal cone {j}")
+            if len(tau_zero) == len(cones[j].rays):
+                raise FanValidationError(f"maximal cone {j} is contained in maximal cone {i}")
 
     rays: list[Vector] = []
     for c in cones:

@@ -278,6 +278,8 @@ class TestCliErrors:
         ("diag", {"rank": 1, "weights": [[1, -1]],
                   "monomial_matrices": [{"perm": [1, 0], "scalars": [0.5, True]}]}),
         ("validate", {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 0, 1]]}),
+        ("diag", {"rank": 0, "weights": []}),
+        ("diag", {"rank": 1, "weights": [[]]}),
     ])
     def test_malformed_schema_exits_2(self, command, payload, tmp_path, capsys):
         path = write(tmp_path, "bad.json", payload)

@@ -1,12 +1,24 @@
+import ast
 import random
+import re
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coxtoric import fans
 from coxtoric.cones import Cone, cone_from_rays, zero_cone
-from coxtoric.errors import FanValidationError, ShapeError, UnsupportedShapeError
+from coxtoric.corpus import corpus_fans
+from coxtoric.errors import (
+    FanValidationError,
+    ShapeError,
+    StrongConvexityError,
+    UnsupportedShapeError,
+)
 from coxtoric.fans import fan_from_dict, fan_from_max_cones, fan_to_dict, is_map_of_fans
-from coxtoric.intlin import IntMatrix
+from coxtoric.intlin import IntMatrix, dot
 from fangen import random_complete_simplicial_fan, random_simplicial_fan
 from oracles import cone_contains_lp
 
@@ -76,6 +88,123 @@ class TestConstruction:
 
     def test_ray_order_is_first_appearance(self, corpus):
         assert corpus["bl0_a2"].rays == ((1, 0), (1, 1), (0, 1))
+
+
+@cache
+def corpus_list():
+    return list(corpus_fans().values())
+
+
+def reference_pairing_error(cones):
+    """The start of the message fan validation must raise, found by
+    intersecting every pair of maximal cones; None when they form a fan."""
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            inter = cones[i].intersect(cones[j])
+            if not (inter.is_face_of(cones[i]) and inter.is_face_of(cones[j])):
+                return f"cones {i} and {j} overlap"
+            if inter in (cones[i], cones[j]):
+                inner, outer = (i, j) if inter == cones[i] else (j, i)
+                return f"maximal cone {inner} is contained in maximal cone {outer}"
+    return None
+
+
+@st.composite
+def maximal_cone_lists(draw):
+    """(rank, cones): the maximal cones of a fangen or corpus fan, kept as
+    they are, with one replaced by a random cone, or with one added."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        rank = draw(st.integers(1, 3))
+        make = random_complete_simplicial_fan if draw(st.booleans()) else random_simplicial_fan
+        fan = make(rng, rank)
+    else:
+        fan = draw(st.sampled_from(corpus_list()))
+    cones = list(fan.max_cones)
+    mode = draw(st.sampled_from(["keep", "replace", "add"]))
+    if mode == "keep":
+        return fan.rank, cones
+    small = st.lists(st.integers(-2, 2), min_size=fan.rank, max_size=fan.rank).filter(any)
+    ray = st.sampled_from(fan.rays) | small.map(tuple) if fan.rays else small.map(tuple)
+    gens = draw(st.lists(ray, min_size=1, max_size=fan.rank + 1))
+    try:
+        cone = cone_from_rays(fan.rank, gens)
+    except StrongConvexityError:
+        cone = cone_from_rays(fan.rank, gens[:1])
+    if mode == "replace" and cones:
+        cones[draw(st.integers(0, len(cones) - 1))] = cone
+    else:
+        cones.insert(draw(st.integers(0, len(cones))), cone)
+    return fan.rank, cones
+
+
+class TestSeparation:
+    @given(maximal_cone_lists())
+    @settings(max_examples=120)
+    def test_accepts_and_rejects_as_pairwise_intersection_does(self, case):
+        rank, cones = case
+        expected = reference_pairing_error(cones)
+        if expected is None:
+            assert fan_from_max_cones(rank, cones).max_cones == tuple(cones)
+            return
+        with pytest.raises(FanValidationError) as err:
+            fan_from_max_cones(rank, cones)
+        message = str(err.value)
+        assert message.startswith(expected)
+        if "overlap" in expected:
+            # the evidence: u >= 0 on cone i, <= 0 on cone j, with different zero sets
+            i, j = map(int, re.match(r"cones (\d+) and (\d+)", message).groups())
+            u, cut_i, cut_j = map(ast.literal_eval, re.search(
+                r"u = (\(.*?\)) cuts out rays (\[.*?\]) of cone \d+ but rays (\[.*?\])",
+                message).groups())
+            assert all(dot(u, r) >= 0 for r in cones[i].rays)
+            assert all(dot(u, r) <= 0 for r in cones[j].rays)
+            assert cut_i == [r for r in cones[i].rays if dot(u, r) == 0]
+            assert cut_j == [r for r in cones[j].rays if dot(u, r) == 0]
+            assert set(cut_i) != set(cut_j)
+
+    def test_overlap_error_carries_the_separating_functional(self):
+        with pytest.raises(FanValidationError) as err:
+            fan_from_max_cones(2, [cone_from_rays(2, [(1, 0), (0, 1)]),
+                                   cone_from_rays(2, [(1, 1), (0, 1)])])
+        assert str(err.value) == (
+            "cones 0 and 1 overlap: u = (0, 0) cuts out rays [(1, 0), (0, 1)] "
+            "of cone 0 but rays [(1, 1), (0, 1)] of cone 1")
+
+    def test_validation_intersects_no_cones(self, corpus, rng, monkeypatch):
+        calls = []
+        for name in ("intersect", "is_face_of"):
+            original = getattr(Cone, name)
+            monkeypatch.setattr(Cone, name, lambda c, d, f=original, n=name:
+                                calls.append(n) or f(c, d))
+        stellar = random_complete_simplicial_fan(rng, 3, subdivisions=4)
+        for fan in list(corpus.values()) + [stellar]:
+            assert fan_from_dict(fan_to_dict(fan)).max_cones == fan.max_cones
+        assert calls == []
+
+    def test_convex_support_builds_no_wall_cones(self, corpus, monkeypatch):
+        fan_list = [corpus["p2"], corpus["bl0_a2"], three_quadrants()]
+        calls = []
+        monkeypatch.setattr(fans, "cone_from_rays",
+                            lambda *a, f=fans.cone_from_rays: calls.append(a) or f(*a))
+        assert [f.has_convex_support() for f in fan_list] == [True, True, False]
+        assert fan_list[2].convex_support_witness() is not None
+        assert calls == []
+
+    def test_inconsistent_dual_data_raises_arithmetic_error(self, corpus, monkeypatch):
+        pinched = fan_from_max_cones(2, [cone_from_rays(2, [(1, 0), (0, 1)]),
+                                         cone_from_rays(2, [(-1, 0), (0, -1)])])
+        real = fans.dual_constraints
+        # the rays of p2 span the plane, so their hull has no span equations
+        monkeypatch.setattr(fans, "dual_constraints",
+                            lambda rank, gens: (real(rank, gens)[0], [(1, 0)]))
+        with pytest.raises(ArithmeticError, match="span equations"):
+            corpus["p2"].has_convex_support()
+        # the pinched pair needs the summed normals; a normal negative on a
+        # ray of the first cone is no separating functional
+        monkeypatch.setattr(fans, "dual_constraints", lambda rank, gens: ([(1, -1)], []))
+        with pytest.raises(ArithmeticError, match="does not separate"):
+            fan_from_max_cones(2, pinched.max_cones)
 
 
 class TestNondegenerate:
