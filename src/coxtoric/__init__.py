@@ -24,7 +24,7 @@ from .errors import (
     ToricError,
     UnsupportedShapeError,
 )
-from .fans import Fan, Wall, fan_from_dict, fan_from_max_cones, fan_to_dict, is_map_of_fans, load_fan
+from .fans import Fan, Wall, fan_from_dict, fan_from_max_cones, fan_to_dict, is_map_of_fans
 from .groups import (
     DiagonalizableSubgroup,
     HyperplanePermutationReport,

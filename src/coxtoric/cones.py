@@ -14,11 +14,19 @@ form.  The other direction reuses the search by duality:
 `cone_from_rays` reads the extreme rays off the dual description of its
 generators, and `Cone.intersect` finds the extreme rays of an intersection
 as the facet normals of the cone that the pooled facet normals generate.
+
+The combinatorics is read off one facet-ray incidence, `Cone.facet_rays`
+(which rays each facet normal vanishes on), computed once per cone: the
+faces are the intersections of the facet ray sets (`Cone.faces` returns
+ray tuples and builds no cone), and callers in `fans` read walls and
+boundary facets off the same incidence.  A generator's extreme-ray test
+compares the sets of facets vanishing on the generators, with no rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -59,7 +67,8 @@ def dual_constraints(rank: int, generators: Sequence[Vector]) -> tuple[list[Vect
         coords = []
         for g in gens:
             c = solve_integer(basis, g)
-            assert c is not None
+            if c is None:
+                raise ArithmeticError(f"generator {g} has no coordinates in the saturated span")
             coords.append(c)
 
     normals = set()
@@ -82,7 +91,8 @@ def dual_constraints(rank: int, generators: Sequence[Vector]) -> tuple[list[Vect
             lifted.append(u)
         else:
             amb = solve_integer(basis_t, u)
-            assert amb is not None
+            if amb is None:
+                raise ArithmeticError(f"facet normal {u} has no lift to the ambient lattice")
             lifted.append(amb)
     return sorted(lifted), sorted(equations)
 
@@ -149,19 +159,29 @@ class Cone:
                               if all(dot(u, r) == 0 for u in active))
         return frozenset(self.rays) == face_rays
 
-    def faces(self) -> list[Cone]:
-        """All faces, each once; includes the zero cone and the cone itself."""
-        out = []
-        seen = set()
-        for k in range(len(self.facet_normals) + 1):
-            for subset in combinations(self.facet_normals, k):
-                face_rays = tuple(r for r in self.rays
-                                  if all(dot(u, r) == 0 for u in subset))
-                key = frozenset(face_rays)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(cone_from_rays(self.ambient_rank, face_rays))
-        return out
+    @cached_property
+    def facet_rays(self) -> tuple[tuple[Vector, ...], ...]:
+        """The facet–ray incidence: for each facet normal, in order, the
+        rays on which it vanishes, in the order of `rays`."""
+        return tuple(tuple(r for r in self.rays if dot(u, r) == 0)
+                     for u in self.facet_normals)
+
+    def faces(self) -> list[tuple[Vector, ...]]:
+        """The rays of every face, each face once: the cone itself first,
+        then each facet in the order of the facet normals, interleaved with
+        the faces it cuts out of those before it; the zero cone is ().
+
+        Every face is an intersection of facets (Kaibel-Pfetsch), so the
+        facet ray sets are closed under intersection, starting from the
+        full ray set; sets are bitmasks over `rays`.
+        """
+        bit = {r: 1 << i for i, r in enumerate(self.rays)}
+        closed = dict.fromkeys([(1 << len(self.rays)) - 1])
+        for rays in self.facet_rays:
+            facet = sum(bit[r] for r in rays)
+            for mask in list(closed):
+                closed.setdefault(mask & facet)
+        return [tuple(r for r in self.rays if bit[r] & mask) for mask in closed]
 
     def intersect(self, other: Cone) -> Cone:
         """Exact intersection, re-extracting extreme rays.
@@ -194,10 +214,10 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
     """Build a strongly convex cone from integer generators.
 
     Generators are primitivized, deduplicated and reduced to the extreme
-    rays (a generator is extreme iff the facet normals vanishing on it,
-    together with the span equations, have rank `rank - 1`).  Raises
-    InvalidRayError on a zero generator and StrongConvexityError if the
-    generators span a cone containing a line.
+    rays: once one rank has shown that the cone contains no line, a
+    generator is extreme iff no other generator lies on every facet that it
+    lies on.  Raises InvalidRayError on a zero generator and
+    StrongConvexityError if the generators span a cone containing a line.
     """
     gens: list[Vector] = []
     seen = set()
@@ -217,8 +237,9 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
         lineality = kernel_basis(constraints)
         raise StrongConvexityError(
             f"cone of {list(gens)} contains the line through {lineality[0]}")
-    survivors = [g for g in gens if IntMatrix.from_rows(
-        [u for u in normals if dot(u, g) == 0] + eqs, cols=rank).rank() == rank - 1]
+    zeros = {g: {i for i, u in enumerate(normals) if dot(u, g) == 0} for g in gens}
+    survivors = [g for g in gens
+                 if not any(h != g and zeros[h] >= zeros[g] for h in gens)]
     if len(survivors) < len(gens):
         # the lifted normals of a lower-dimensional cone depend on the
         # generator set, so they are recomputed from the extreme rays alone

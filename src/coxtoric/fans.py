@@ -7,10 +7,13 @@ validates the axioms on the given maximal cones by the separation lemma
 1.2.13): sigma and tau meet in a common face iff some covector u, >= 0 on
 sigma and <= 0 on tau, vanishes on the same rays F of both, and then
 sigma meets tau in cone(F).  Every cone is a face of a maximal one, so
-membership, maps of fans and walls are decided on the maximal cones, and
-the face closure `all_cones` is built on first read.  In a validated fan a
-cone whose rays are all rays of a maximal cone is a face of it, so wall
-incidence is read off ray-set inclusion.
+membership, maps of fans and walls are decided on the maximal cones.  The
+face closure `all_cones` is held combinatorially, as ray-index tuples read
+off each maximal cone's facet-ray incidence (`Cone.faces`), and is built on
+first read.  Walls and boundary facets are read off the same incidence; in
+a validated fan a cone whose rays are all rays of a maximal cone is a face
+of it, so wall incidence is ray-set inclusion.  A fan whose rays span a
+proper subspace is carried onto the span as is, without validating again.
 The ray order of a fan fixes coordinates downstream: it is the order of the
 file's `rays` list for a fan read by `fan_from_dict`, and the first-appearance
 order across the maximal cones for one built by `fan_from_max_cones`.
@@ -18,7 +21,6 @@ order across the maximal cones for one built by `fan_from_max_cones`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,21 +51,25 @@ class Fan:
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
     @cached_property
-    def all_cones(self) -> tuple[Cone, ...]:
-        """Every cone of the fan, each once, in the order of the maximal
-        cones and of their faces; built on first read."""
-        return tuple(dict.fromkeys(f for c in self._covering_cones() for f in c.faces()))
+    def all_cones(self) -> tuple[tuple[int, ...], ...]:
+        """Every cone of the fan as its sorted tuple of ray indices, each
+        once, in the order of the maximal cones and of their faces; built on
+        first read from the facet-ray incidence, with no cone built."""
+        index = self._ray_positions
+        return tuple(dict.fromkeys(tuple(sorted(index[r] for r in face))
+                                   for c in self._covering_cones() for face in c.faces()))
 
     def _covering_cones(self) -> tuple[Cone, ...]:
         """Cones of which every cone of the fan is a face: the maximal
         cones, or the zero cone alone when there are none."""
         return self.max_cones or (zero_cone(self.rank),)
 
-    def ray_index(self, ray: Vector) -> int:
-        return self.rays.index(tuple(ray))
+    @cached_property
+    def _ray_positions(self) -> dict[Vector, int]:
+        return {r: i for i, r in enumerate(self.rays)}
 
     def cone_ray_indices(self, cone: Cone) -> tuple[int, ...]:
-        return tuple(self.ray_index(r) for r in cone.rays)
+        return tuple(self._ray_positions[r] for r in cone.rays)
 
     def is_nondegenerate(self) -> bool:
         """Whether the rays span the ambient rational vector space."""
@@ -89,8 +95,7 @@ class Fan:
             if mc.dim == self.rank - 1:
                 candidates = [mc.rays]
             elif mc.dim == self.rank:
-                candidates = (tuple(r for r in mc.rays if dot(u, r) == 0)
-                              for u in mc.facet_normals)
+                candidates = mc.facet_rays
             else:
                 continue
             for rays in candidates:
@@ -140,15 +145,18 @@ class Fan:
         ray_matrix = IntMatrix.from_columns(self.rays, rows=self.rank)
         span_dim = ray_matrix.rank()
         if span_dim < self.rank:
+            # coordinates on the saturated span are a lattice isomorphism
+            # onto Z^span_dim, so the image of this validated fan is a fan
             basis = saturation_basis(ray_matrix)
-            reduced_cones = []
-            for mc in self.max_cones:
-                coords = [solve_integer(basis, r) for r in mc.rays]
-                if any(c is None for c in coords):
+            coords = {r: solve_integer(basis, r) for r in self.rays}
+            for r, c in coords.items():
+                if c is None:
                     raise ArithmeticError(
-                        f"a ray of {mc!r} has no coordinates in the saturated span of the rays")
-                reduced_cones.append(cone_from_rays(span_dim, coords))
-            reduced = fan_from_max_cones(span_dim, reduced_cones)
+                        f"ray {r} has no coordinates in the saturated span of the rays")
+            reduced = Fan(span_dim,
+                          tuple(cone_from_rays(span_dim, [coords[r] for r in mc.rays])
+                                for mc in self.max_cones),
+                          tuple(coords.values()))
             convex, witness = reduced._convex_support_analysis()
             if witness is not None:
                 witness = tuple(basis.apply(witness))
@@ -176,8 +184,8 @@ class Fan:
         """A point just outside the support across the boundary wall with
         rays `wall_rays` of maximal cone `index`."""
         sigma = self.max_cones[index]
-        facet_normal = next(u for u in sigma.facet_normals
-                            if all(dot(u, r) == 0 for r in wall_rays))
+        facet_normal = next(u for u, rays in zip(sigma.facet_normals, sigma.facet_rays)
+                            if set(rays) == set(wall_rays))
         x0 = tuple(sum(col) for col in zip(*wall_rays))
         away = tuple(-sum(col) for col in zip(*sigma.rays))
         if dot(facet_normal, away) >= 0:
@@ -333,8 +341,3 @@ def fan_from_dict(data: dict) -> Fan:
         raise FanValidationError(
             f"rays {extra} are not extreme rays of the listed cones")
     return Fan(rank, fan.max_cones, tuple(parsed_rays))
-
-
-def load_fan(path) -> Fan:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fan_from_dict(json.load(fh))

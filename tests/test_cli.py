@@ -5,7 +5,7 @@ import pytest
 
 from coxtoric.cli import main
 from coxtoric.cones import cone_from_rays
-from coxtoric.corpus import corpus_fans
+from coxtoric.corpus import affine_space, corpus_fans
 from coxtoric.fans import fan_from_max_cones, fan_to_dict
 from coxtoric.groups import WeightAction
 from coxtoric.intlin import IntMatrix
@@ -110,6 +110,12 @@ class TestCliCommands:
         assert main(["validate", fan_files["p2"]]) == 0
         out = capsys.readouterr().out
         assert "valid: True" in out
+
+    def test_validate_counts_every_face_of_a12(self, tmp_path, capsys):
+        path = write(tmp_path, "a12.json", fan_to_dict(affine_space(12)))
+        assert main(["validate", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "valid": True, "rank": 12, "rays": 12, "max_cones": 1, "cones": 4096}
 
     def test_properties(self, fan_files, capsys):
         assert main(["properties", fan_files["p2"], "--json"]) == 0

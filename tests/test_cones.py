@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from coxtoric import cones
 from coxtoric.cones import Cone, cone_from_rays, zero_cone
 from coxtoric.errors import InvalidRayError, ShapeError, StrongConvexityError
-from coxtoric.intlin import dot
+from coxtoric.intlin import IntMatrix, dot
 from oracles import cone_contains_lp
 
 
@@ -137,8 +138,33 @@ class TestRedundantGenerators:
         cone_from_rays(len(gens[0]), gens)
         assert len(seen) == calls
 
+    @given(cones_with_redundant_generators())
+    @settings(max_examples=30, deadline=None)
+    def test_one_rank_per_cone(self, case):
+        c, gens = case
+        with pytest.MonkeyPatch.context() as mp:
+            calls = []
+            mp.setattr(IntMatrix, "rank", lambda m, f=IntMatrix.rank: calls.append(m) or f(m))
+            assert cone_from_rays(c.ambient_rank, gens) == c
+            with pytest.raises(StrongConvexityError):
+                cone_from_rays(c.ambient_rank, gens + [[-x for x in gens[0]]])
+        # one for the cone, one for the cone that contains a line
+        assert len(calls) == 2
+
 
 class TestDualDescription:
+    def test_missing_coordinates_or_lift_raise_arithmetic_error(self, monkeypatch):
+        plane = [(1, 0, 0), (0, 1, 0)]
+        real = cones.solve_integer
+        monkeypatch.setattr(cones, "solve_integer", lambda a, b: None)
+        with pytest.raises(ArithmeticError, match="no coordinates"):
+            cones.dual_constraints(3, plane)
+        # coordinates solve against the 3x2 span basis, lifts against its transpose
+        monkeypatch.setattr(cones, "solve_integer",
+                            lambda a, b: real(a, b) if a.rows == 3 else None)
+        with pytest.raises(ArithmeticError, match="no lift"):
+            cones.dual_constraints(3, plane)
+
     def test_quadrant_normals(self):
         c = quadrant()
         assert set(c.facet_normals) == {(1, 0), (0, 1)} and c.span_equations == ()
@@ -275,7 +301,7 @@ class TestFaces:
 
     def test_non_simplicial_face_lattice(self):
         c = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
-        faces = c.faces()
+        faces = [cone_from_rays(3, rays) for rays in c.faces()]
         by_dim = sorted(f.dim for f in faces)
         # zero cone, 4 rays, 4 facets, the cone itself
         assert by_dim == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
@@ -290,13 +316,47 @@ class TestFaces:
     @given(pointed_cones())
     @settings(max_examples=25)
     def test_faces_are_faces_and_antisymmetry(self, c):
-        faces = c.faces()
+        faces = [cone_from_rays(c.ambient_rank, rays) for rays in c.faces()]
+        assert [f.rays for f in faces] == c.faces()
         assert len({f for f in faces}) == len(faces)
         if c.is_simplicial():
             assert len(faces) == 2 ** c.dim
         for f in faces:
             assert f.is_face_of(c)
             assert not (f.is_face_of(c) and c.is_face_of(f)) or f == c
+
+    @given(pointed_cones())
+    @settings(max_examples=40)
+    def test_faces_match_facet_subset_enumeration(self, c):
+        assert face_ray_sets(c) == subset_face_ray_sets(c)
+
+    def test_faces_match_facet_subset_enumeration_on_corpus(self, corpus):
+        for fan in corpus.values():
+            for c in fan.max_cones:
+                assert face_ray_sets(c) == subset_face_ray_sets(c)
+
+    def test_facet_rays_are_the_zero_sets_of_the_normals(self):
+        c = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
+        assert len(c.facet_rays) == len(c.facet_normals) == 4
+        for u, rays in zip(c.facet_normals, c.facet_rays):
+            assert rays == tuple(r for r in c.rays if dot(u, r) == 0)
+            assert len(rays) == 2
+
+
+def face_ray_sets(c):
+    faces = c.faces()
+    assert faces[0] == c.rays and () in faces
+    assert all(set(f) <= set(c.rays) for f in faces)
+    ray_sets = [frozenset(f) for f in faces]
+    assert len(set(ray_sets)) == len(ray_sets)
+    return set(ray_sets)
+
+
+def subset_face_ray_sets(c):
+    """The faces as the zero sets of every subset of the facet normals."""
+    return {frozenset(r for r in c.rays if all(dot(u, r) == 0 for u in subset))
+            for k in range(len(c.facet_normals) + 1)
+            for subset in combinations(c.facet_normals, k)}
 
 
 class TestPredicates:

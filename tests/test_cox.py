@@ -78,7 +78,9 @@ class TestPresentation:
             check_sigma(p)
             m = p.num_coordinates
             orthant = cone_from_rays(m, [_unit(i, m) for i in range(m)])
-            for c in orthant_fan(p).all_cones:
+            sigma = orthant_fan(p)
+            for idx in sigma.all_cones:
+                c = cone_from_rays(m, [sigma.rays[i] for i in idx])
                 assert c.is_face_of(orthant), name
             # relation lattice of H is the image of Q^T
             assert lattice_canonical_form(p.kernel_group.relations) == \

@@ -3,14 +3,15 @@ import random
 import re
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxtoric import fans
+from coxtoric import cones, fans
 from coxtoric.cones import Cone, cone_from_rays, zero_cone
-from coxtoric.corpus import corpus_fans
+from coxtoric.corpus import affine_space, corpus_fans
 from coxtoric.errors import (
     FanValidationError,
     ShapeError,
@@ -21,6 +22,11 @@ from coxtoric.fans import fan_from_dict, fan_from_max_cones, fan_to_dict, is_map
 from coxtoric.intlin import IntMatrix, dot
 from fangen import random_complete_simplicial_fan, random_simplicial_fan
 from oracles import cone_contains_lp
+
+
+def cone_of(fan, idx):
+    """The cone of `fan` with ray indices `idx`."""
+    return cone_from_rays(fan.rank, [fan.rays[i] for i in idx])
 
 
 def punctured_plane_style_fan():
@@ -44,7 +50,8 @@ class TestConstruction:
         assert len(p2.all_cones) == 7
         assert len(p2.max_cones) == 3
         assert p2.rays == ((1, 0), (0, 1), (-1, -1))
-        dims = sorted(c.dim for c in p2.all_cones)
+        assert set(p2.all_cones) == {(0, 1), (1, 2), (0, 2), (0,), (1,), (2,), ()}
+        dims = sorted(cone_of(p2, idx).dim for idx in p2.all_cones)
         assert dims == [0, 1, 1, 1, 2, 2, 2]
 
     def test_single_cone(self, corpus):
@@ -52,12 +59,40 @@ class TestConstruction:
 
     def test_faces_of_faces_present(self, corpus):
         for fan in corpus.values():
-            for c in fan.all_cones:
-                for f in c.faces():
-                    assert f in fan.all_cones
+            for idx in fan.all_cones:
+                assert list(idx) == sorted(set(idx))
+                for face in cone_of(fan, idx).faces():
+                    assert tuple(sorted(fan.rays.index(r) for r in face)) in fan.all_cones
             # every listed ray is a one-dimensional cone of the fan
-            for r in fan.rays:
-                assert cone_from_rays(fan.rank, [r]) in fan.all_cones
+            for i in range(len(fan.rays)):
+                assert (i,) in fan.all_cones
+
+    def test_face_closure_matches_facet_subset_enumeration(self, corpus, rng):
+        fan_list = list(corpus.values()) + [fan_from_max_cones(2, [])]
+        fan_list += [random_simplicial_fan(rng, rng.randint(1, 3)) for _ in range(10)]
+        fan_list += [random_complete_simplicial_fan(rng, rng.randint(1, 3)) for _ in range(10)]
+        for fan in fan_list:
+            expected = set()
+            for c in fan.max_cones or [zero_cone(fan.rank)]:
+                for k in range(len(c.facet_normals) + 1):
+                    for subset in combinations(c.facet_normals, k):
+                        expected.add(frozenset(
+                            fan.rays.index(r) for r in c.rays
+                            if all(dot(u, r) == 0 for u in subset)))
+            assert len(fan.all_cones) == len(expected), fan
+            assert set(map(frozenset, fan.all_cones)) == expected, fan
+
+    def test_face_closure_builds_no_cones(self, corpus, rng, monkeypatch):
+        fan_list = list(corpus.values()) + [
+            random_complete_simplicial_fan(rng, 3, subdivisions=4), affine_space(8)]
+        built = []
+        monkeypatch.setattr(Cone, "__init__",
+                            lambda c, *a, f=Cone.__init__: built.append(a) or f(c, *a))
+        for module in (cones, fans):
+            monkeypatch.setattr(module, "cone_from_rays",
+                                lambda *a, f=module.cone_from_rays: built.append(a) or f(*a))
+        counts = [len(fan.all_cones) for fan in fan_list]
+        assert counts[-1] == 2 ** 8 and built == []
 
     def test_face_closure_is_built_on_first_read(self, corpus, monkeypatch):
         calls = []
@@ -244,9 +279,9 @@ class TestWallsAndCompleteness:
                                         fan_from_max_cones(1, [])]
         fans += [random_simplicial_fan(rng, rng.randint(1, 3)) for _ in range(10)]
         for fan in fans:
-            expected = [c for c in fan.all_cones if c.dim == fan.rank - 1]
+            expected = [idx for idx in fan.all_cones if cone_of(fan, idx).dim == fan.rank - 1]
             walls = fan.walls()
-            assert [w.face.rays for w in walls] == [c.rays for c in expected], fan
+            assert [tuple(sorted(fan.cone_ray_indices(w.face))) for w in walls] == expected, fan
             for w in walls:
                 assert w.incident == tuple(i for i, mc in enumerate(fan.max_cones)
                                            if w.face.is_face_of(mc))
@@ -285,6 +320,26 @@ class TestConvexSupport:
         assert fan.has_convex_support()
         half = fan_from_max_cones(2, [cone_from_rays(2, [(1, 1)])])
         assert half.has_convex_support()
+
+    def test_reduced_fan_is_not_validated_again(self, monkeypatch):
+        octagon = [(1, 0, 0), (1, 1, 0), (0, 1, 0), (-1, 1, 0),
+                   (-1, 0, 0), (-1, -1, 0), (0, -1, 0), (1, -1, 0)]
+        fan = fan_from_max_cones(3, [cone_from_rays(3, [octagon[i], octagon[(i + 1) % 8]])
+                                     for i in range(8)])
+        calls = []
+        monkeypatch.setattr(fans, "_separation",
+                            lambda *a, f=fans._separation: calls.append(a) or f(*a))
+        assert fan.has_convex_support()
+        assert calls == []
+        # three of the plane cones: the witness found on the span lies in z = 0
+        three = fan_from_max_cones(3, [cone_from_rays(3, [octagon[i], octagon[i + 1]])
+                                       for i in (0, 2, 4)])
+        calls.clear()
+        assert not three.has_convex_support()
+        w = three.convex_support_witness()
+        assert w[2] == 0 and not three.contains_point(w)
+        assert cone_contains_lp(w, list(three.rays))
+        assert calls == []
 
     def test_half_plane_support(self):
         fan = fan_from_max_cones(2, [cone_from_rays(2, [(1, 0), (0, 1)]),
