@@ -1,19 +1,19 @@
 """Strongly convex rational polyhedral cones with exact dual descriptions.
 
 A cone is stored by its primitive extreme rays together with an eagerly
-computed dual description: facet normals (one per facet, relative to the
-cone's linear span) and the span's defining equations.  All predicates are
-decided exactly over the integers/rationals.
+computed dual description: facet normals (one per facet, taken inside the
+cone's linear span) and the span's defining equations in Hermite form.  It
+is a function of the cone alone, not of the generators the cone was built
+from.  All predicates are decided exactly over the integers/rationals.
 
 There is one facet search, `dual_constraints`: brute force over the
 (dim-1)-subsets of generators, which is entirely adequate at the intended
 scale (at most a dozen rays).  A subset's candidate normal is its vector of
 signed maximal minors divided by their gcd (`kernel_generator`, one Bareiss
-elimination); only the span equations of the generators take a Smith
-form.  The other direction reuses the search by duality:
+elimination).  The other direction reuses the search by duality:
 `cone_from_rays` reads the extreme rays off the dual description of its
-generators, and `Cone.intersect` finds the extreme rays of an intersection
-as the facet normals of the cone that the pooled facet normals generate.
+generators, and `Cone.intersect` finds those of an intersection as the
+facet normals of the sum of the two dual cones.
 
 The combinatorics is read off one facet-ray incidence, `Cone.facet_rays`
 (which rays each facet normal vanishes on), computed once per cone: the
@@ -37,64 +37,51 @@ from .intlin import (
     dot,
     kernel_basis,
     kernel_generator,
+    lattice_canonical_form,
     primitive_vector,
     saturation_basis,
     smith_normal_form,
-    solve_integer,
 )
 
 
 def dual_constraints(rank: int, generators: Sequence[Vector]) -> tuple[list[Vector], list[Vector]]:
     """Facet normals and span equations of cone(generators) in Z^rank.
 
-    Works for arbitrary (possibly non-pointed) finitely generated cones:
-    a covector is a facet normal iff it is nonnegative on every generator
-    and its zero set among the generators spans a hyperplane of the span.
-    Normals are primitive ambient covectors, returned sorted.  The result
-    depends only on the set of primitive generators, not on their order.
+    Works for arbitrary (possibly non-pointed) finitely generated cones,
+    and the result is a function of the cone alone, whatever generates it.
+    A facet normal is the unique primitive covector inside the cone's
+    linear span that vanishes on the facet and is nonnegative on the cone;
+    the normals are returned sorted.  The span equations are the Hermite
+    form (`lattice_canonical_form`) of the lattice of integer covectors
+    vanishing on the span.
     """
     gens = sorted({primitive_vector(g) for g in generators})
-    equations = kernel_basis(IntMatrix.from_rows(gens, cols=rank))
+    gen_rows = IntMatrix.from_rows(gens, cols=rank)
+    equations = kernel_basis(gen_rows)
+    if equations:
+        equations = lattice_canonical_form(IntMatrix.from_columns(equations, rows=rank)).columns()
     d = rank - len(equations)
     if d == 0:
-        return [], sorted(equations)
+        return [], equations
 
-    if d == rank:
-        basis = IntMatrix.identity(rank)
-        coords = gens
-    else:
-        basis = saturation_basis(IntMatrix.from_columns(gens, rows=rank))
-        coords = []
-        for g in gens:
-            c = solve_integer(basis, g)
-            if c is None:
-                raise ArithmeticError(f"generator {g} has no coordinates in the saturated span")
-            coords.append(c)
-
+    # on a proper span with saturated basis B, a facet's normal is B*c for
+    # the primitive c orthogonal to the pairings B^T g of its generators
+    basis = saturation_basis(gen_rows.transpose()) if d < rank else None
+    pairings = gens if basis is None else (gen_rows @ basis).entries
     normals = set()
-    for subset in combinations(range(len(coords)), d - 1):
-        u = kernel_generator([coords[i] for i in subset], d)
-        if u is None:
+    for subset in combinations(range(len(gens)), d - 1):
+        c = kernel_generator([pairings[i] for i in subset], d)
+        if c is None:
             continue
-        values = [dot(u, c) for c in coords]
+        u = c if basis is None else basis.apply(c)
+        values = [dot(u, g) for g in gens]
         if any(values[i] for i in subset):
             raise ArithmeticError(f"candidate normal {u} is not zero on its generators")
         if all(v >= 0 for v in values):
             normals.add(u)
         elif all(v <= 0 for v in values):
             normals.add(tuple(-x for x in u))
-
-    lifted = []
-    basis_t = basis.transpose()
-    for u in sorted(normals):
-        if d == rank:
-            lifted.append(u)
-        else:
-            amb = solve_integer(basis_t, u)
-            if amb is None:
-                raise ArithmeticError(f"facet normal {u} has no lift to the ambient lattice")
-            lifted.append(amb)
-    return sorted(lifted), sorted(equations)
+    return sorted(normals), equations
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,23 +173,18 @@ class Cone:
     def intersect(self, other: Cone) -> Cone:
         """Exact intersection, re-extracting extreme rays.
 
-        Works in coordinates on the intersection W of the two spans.  The
-        intersection is pointed, so the cone generated by the pooled facet
-        normals pulled back to W is full-dimensional in W, and its facet
-        normals are exactly the intersection's extreme rays.
+        By duality (sigma & tau)^v = sigma^v + tau^v, and each dual is
+        generated by the cone's facet normals and +-its span equations.
+        The intersection is pointed, so the sum is full-dimensional, and
+        its facet normals are exactly the intersection's extreme rays.
         """
         if self.ambient_rank != other.ambient_rank:
             raise ShapeError("cones live in different ranks")
-        rank = self.ambient_rank
-        eqs = list(self.span_equations) + list(other.span_equations)
-        w_basis = kernel_basis(IntMatrix.from_rows(eqs, cols=rank))
-        if not w_basis:
-            return zero_cone(rank)
-        bmat = IntMatrix.from_columns(w_basis, rows=rank)
-        bt = bmat.transpose()
-        pulled = [bt.apply(u) for u in self.facet_normals + other.facet_normals]
-        rays, _ = dual_constraints(len(w_basis), [v for v in pulled if any(v)])
-        return cone_from_rays(rank, [bmat.apply(v) for v in rays])
+        dual = [v for c in (self, other)
+                for v in c.facet_normals + c.span_equations
+                + tuple(tuple(-x for x in e) for e in c.span_equations)]
+        rays, _ = dual_constraints(self.ambient_rank, dual)
+        return cone_from_rays(self.ambient_rank, rays)
 
 
 def zero_cone(rank: int) -> Cone:
@@ -216,8 +198,9 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
     Generators are primitivized, deduplicated and reduced to the extreme
     rays: once one rank has shown that the cone contains no line, a
     generator is extreme iff no other generator lies on every facet that it
-    lies on.  Raises InvalidRayError on a zero generator and
-    StrongConvexityError if the generators span a cone containing a line.
+    lies on; the generators' dual description is the cone's own.  Raises
+    InvalidRayError on a zero generator and StrongConvexityError if the
+    generators span a cone containing a line.
     """
     gens: list[Vector] = []
     seen = set()
@@ -240,8 +223,4 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
     zeros = {g: {i for i, u in enumerate(normals) if dot(u, g) == 0} for g in gens}
     survivors = [g for g in gens
                  if not any(h != g and zeros[h] >= zeros[g] for h in gens)]
-    if len(survivors) < len(gens):
-        # the lifted normals of a lower-dimensional cone depend on the
-        # generator set, so they are recomputed from the extreme rays alone
-        normals, eqs = dual_constraints(rank, survivors)
     return Cone(rank, tuple(survivors), tuple(normals), tuple(eqs))

@@ -15,6 +15,7 @@ to lift subtori through the quotient are computed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Sequence
@@ -43,8 +44,12 @@ class ClassGroupElement:
     moduli: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.torsion_part) == len(self.moduli)
-        assert all(0 <= t < d for t, d in zip(self.torsion_part, self.moduli))
+        if len(self.torsion_part) != len(self.moduli):
+            raise ShapeError(f"{len(self.torsion_part)} torsion residues for "
+                             f"{len(self.moduli)} moduli")
+        if not all(0 <= t < d for t, d in zip(self.torsion_part, self.moduli)):
+            raise ShapeError(f"torsion residues {self.torsion_part} are not reduced "
+                             f"modulo {self.moduli}")
 
     def __add__(self, other: ClassGroupElement) -> ClassGroupElement:
         if self.moduli != other.moduli or len(self.free_part) != len(other.free_part):
@@ -72,6 +77,15 @@ class CoxPresentation:
     @property
     def num_coordinates(self) -> int:
         return self.q_matrix.cols
+
+    @cached_property
+    def _grading_snf(self) -> SnfResult:
+        """Smith form U * Q^T * V = D, taken once per presentation; U maps
+        exponent vectors to coordinates in which the grading group is the
+        product of the Z/d_i and Z^free."""
+        if not self.delta.is_nondegenerate():
+            raise HypothesisError("grading requires a nondegenerate fan")
+        return smith_normal_form(self.q_matrix.transpose())
 
 
 @dataclass(frozen=True)
@@ -140,15 +154,8 @@ def class_group(p: CoxPresentation) -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion) of the grading group Z^m / im(Q^T)."""
     if not p.delta.is_nondegenerate():
         raise HypothesisError("class group requires a nondegenerate fan")
-    return cokernel_invariants(p.q_matrix.transpose())
-
-
-def _grading_snf(p: CoxPresentation) -> SnfResult:
-    """Smith form U * Q^T * V = D; U maps exponent vectors to coordinates
-    in which the grading group is the product of the Z/d_i and Z^free."""
-    if not p.delta.is_nondegenerate():
-        raise HypothesisError("grading requires a nondegenerate fan")
-    return smith_normal_form(p.q_matrix.transpose())
+    snf = p._grading_snf
+    return p.num_coordinates - snf.rank(), tuple(d for d in snf.invariant_factors() if d > 1)
 
 
 def _degree(snf: SnfResult, w: Vector) -> ClassGroupElement:
@@ -166,14 +173,14 @@ def degree_of_monomial(p: CoxPresentation, exponents: Sequence[int]) -> ClassGro
     m = p.num_coordinates
     if len(exponents) != m:
         raise ShapeError(f"exponent vector must have length {m}")
-    snf = _grading_snf(p)
+    snf = p._grading_snf
     return _degree(snf, snf.U.apply(exponents))
 
 
 def ray_degrees(p: CoxPresentation) -> list[ClassGroupElement]:
     """Degrees of the m coordinate functions; they generate the grading group.
     The degree of coordinate i is read off column i of U."""
-    snf = _grading_snf(p)
+    snf = p._grading_snf
     return [_degree(snf, w) for w in snf.U.columns()]
 
 
@@ -205,9 +212,12 @@ def lift_subtorus(p: CoxPresentation, iota: IntMatrix) -> LiftResult:
     for j in range(r):
         target = tuple(d * x for x in iota.column(j))
         w = solve_integer(p.q_matrix, target)
-        assert w is not None
+        if w is None:
+            raise ArithmeticError(f"Q * w = {target} has no integer solution, "
+                                  f"though {d} is the divisibility index")
         cols.append(w)
     w_t = IntMatrix.from_columns(cols, rows=p.num_coordinates)
-    assert p.q_matrix @ w_t == iota.scale(d)
+    if p.q_matrix @ w_t != iota.scale(d):
+        raise ArithmeticError(f"lifted weights {w_t} do not satisfy Q * W^T = {d} * iota")
     weights = w_t.transpose()
     return LiftResult(weights, d, is_effective(WeightAction(r, weights)))

@@ -256,11 +256,13 @@ def character_root_isogeny(xi: Sequence[int], d: int) -> tuple[IntMatrix, Vector
     if snf.V.entries[0][0] == -1:
         u = IntMatrix.from_rows(
             [tuple(-x for x in u.row(0))] + [u.row(i) for i in range(1, r)])
-    assert u.apply(xi) == (g,) + (0,) * (r - 1)
+    if u.apply(xi) != (g,) + (0,) * (r - 1):
+        raise ArithmeticError(f"U = {u} does not send {xi} to ({g}, 0, ..., 0)")
     factor = d // gcd(d, g)
     kappa_t = IntMatrix.diagonal([factor] + [1] * (r - 1)) @ u
     image = kappa_t.apply(xi)
-    assert all(x % d == 0 for x in image)
+    if any(x % d for x in image):
+        raise ArithmeticError(f"kappa^T * xi = {image} is not divisible by {d}")
     xi0 = tuple(x // d for x in image)
     return kappa_t.transpose(), xi0
 

@@ -343,7 +343,8 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                 U[t][k] = -U[t][k]
 
     result = SnfResult(IntMatrix.from_rows(U, m), IntMatrix.from_rows(M, n), IntMatrix.from_rows(V, n))
-    assert result.U @ a @ result.V == result.D
+    if result.U @ a @ result.V != result.D:
+        raise ArithmeticError(f"Smith form of {a} fails U * A * V = D")
     return result
 
 
@@ -420,7 +421,8 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vector | None:
         elif r != 0:
             return None
     x = V.apply(y)
-    assert a.apply(x) == tuple(b)
+    if a.apply(x) != tuple(b):
+        raise ArithmeticError(f"solution {x} of A * x = {tuple(b)} fails substitution")
     return x
 
 
@@ -472,7 +474,8 @@ def invert_unimodular(a: IntMatrix) -> IntMatrix:
     identity = IntMatrix.identity(a.rows)
     if H != identity:
         raise ShapeError("matrix is not unimodular")
-    assert a @ V == identity
+    if a @ V != identity:
+        raise ArithmeticError(f"Hermite transform of {a} is not its inverse")
     return V
 
 

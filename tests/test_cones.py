@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from coxtoric import cones
 from coxtoric.cones import Cone, cone_from_rays, zero_cone
 from coxtoric.errors import InvalidRayError, ShapeError, StrongConvexityError
-from coxtoric.intlin import IntMatrix, dot
+from coxtoric.intlin import IntMatrix, dot, lattice_canonical_form
 from oracles import cone_contains_lp
 
 
@@ -119,14 +119,15 @@ class TestRedundantGenerators:
         again = cone_from_rays(c.ambient_rank, gens)
         assert (again.facet_normals, again.span_equations) == (c.facet_normals, c.span_equations)
 
-    @pytest.mark.parametrize("gens, calls", [
-        ([(1, 0), (0, 1)], 1),
-        ([(1, 0), (1, 1), (0, 1)], 2),
-        ([(1, 0, 0), (0, 1, 0)], 1),
-        ([(1, 0, 0), (1, 1, 0), (0, 1, 0)], 2),
+    @pytest.mark.parametrize("gens", [
+        [(1, 0), (0, 1)],
+        [(1, 0), (1, 1), (0, 1)],
+        [(1, 0, 0), (0, 1, 0)],
+        [(1, 0, 0), (1, 1, 0), (0, 1, 0)],
     ])
-    def test_dual_description_is_computed_once_more_only_after_a_drop(
-            self, gens, calls, monkeypatch):
+    def test_dual_description_is_computed_once(self, gens, monkeypatch):
+        # the dual description of the generators is the cone's own, also
+        # after redundant generators are dropped
         seen = []
         real = cones.dual_constraints
 
@@ -136,7 +137,7 @@ class TestRedundantGenerators:
 
         monkeypatch.setattr(cones, "dual_constraints", counting)
         cone_from_rays(len(gens[0]), gens)
-        assert len(seen) == calls
+        assert len(seen) == 1
 
     @given(cones_with_redundant_generators())
     @settings(max_examples=30, deadline=None)
@@ -152,18 +153,45 @@ class TestRedundantGenerators:
         assert len(calls) == 2
 
 
+@st.composite
+def generating_sets(draw):
+    """(rank, generators): integer combinations of up to rank random
+    vectors, so the cone is often lower-dimensional, and it may contain
+    lines."""
+    rank = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    span = draw(st.lists(vector, min_size=1, max_size=rank))
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(span), max_size=len(span)))
+        g = [sum(k * b[i] for k, b in zip(coeffs, span)) for i in range(rank)]
+        if any(g):
+            gens.append(g)
+    assume(gens)
+    return rank, gens
+
+
 class TestDualDescription:
-    def test_missing_coordinates_or_lift_raise_arithmetic_error(self, monkeypatch):
-        plane = [(1, 0, 0), (0, 1, 0)]
-        real = cones.solve_integer
-        monkeypatch.setattr(cones, "solve_integer", lambda a, b: None)
-        with pytest.raises(ArithmeticError, match="no coordinates"):
-            cones.dual_constraints(3, plane)
-        # coordinates solve against the 3x2 span basis, lifts against its transpose
-        monkeypatch.setattr(cones, "solve_integer",
-                            lambda a, b: real(a, b) if a.rows == 3 else None)
-        with pytest.raises(ArithmeticError, match="no lift"):
-            cones.dual_constraints(3, plane)
+    @given(generating_sets(), st.randoms(use_true_random=False))
+    @settings(max_examples=150)
+    def test_result_is_a_function_of_the_cone(self, case, rnd):
+        rank, gens = case
+        normals, equations = cones.dual_constraints(rank, gens)
+        shuffled = gens[:]
+        rnd.shuffle(shuffled)
+        padded = gens[:]
+        for _ in range(rnd.randint(1, 3)):
+            coeffs = [rnd.randint(0, 3) for _ in gens]
+            combo = [sum(k * g[i] for k, g in zip(coeffs, gens)) for i in range(rank)]
+            if any(combo):
+                padded.insert(rnd.randint(0, len(padded)), combo)
+        assert cones.dual_constraints(rank, shuffled) == (normals, equations)
+        assert cones.dual_constraints(rank, padded) == (normals, equations)
+        # the normals lie in the span, and the equations are in Hermite form
+        assert all(dot(u, e) == 0 for u in normals for e in equations)
+        if equations:
+            eq_matrix = IntMatrix.from_columns(equations, rows=rank)
+            assert lattice_canonical_form(eq_matrix) == eq_matrix
 
     def test_quadrant_normals(self):
         c = quadrant()
@@ -281,6 +309,37 @@ class TestIntersect:
             assert a.contains_point(r) and b.contains_point(r)
         for r in a.rays:
             assert inter.contains_point(r) == b.contains_point(r)
+
+
+    @given(pointed_cone_triples(), st.randoms(use_true_random=False))
+    @settings(max_examples=25)
+    def test_lower_dimensional_pairs_agree_with_lp_oracle(self, triple, rnd):
+        def in_both(p):
+            return cone_contains_lp(p, list(a.rays)) and cone_contains_lp(p, list(b.rays))
+
+        for a, b in combinations(triple, 2):
+            rank = a.ambient_rank
+            if a.dim == rank and b.dim == rank:
+                continue
+            inter = a.intersect(b)
+            assert all(in_both(r) for r in inter.rays)
+            for gens in (a.rays, b.rays, a.rays + b.rays):
+                for _ in range(8):
+                    coeffs = [rnd.randint(0, 3) for _ in gens]
+                    point = tuple(sum(k * g[i] for k, g in zip(coeffs, gens)) for i in range(rank))
+                    assert inter.contains_point(point) == in_both(point)
+
+    def test_one_dual_description_of_the_sum_in_the_ambient_lattice(self, monkeypatch):
+        plane = cone_from_rays(3, [(1, 0, 0), (0, 1, 0)])
+        wall = cone_from_rays(3, [(1, 1, 0), (0, 0, 1)])
+        diagonal = cone_from_rays(3, [(1, 1, 0)])
+        seen = []
+        real = cones.dual_constraints
+        monkeypatch.setattr(cones, "dual_constraints",
+                            lambda rank, gens: seen.append(rank) or real(rank, gens))
+        assert plane.intersect(wall) == diagonal
+        # the sum of the two duals, then the intersection's own in cone_from_rays
+        assert seen == [3, 3]
 
 
 class TestFaces:

@@ -1,10 +1,12 @@
+import json
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from coxtoric import cox
+from coxtoric import cli, cones, cox, groups, intlin
 from coxtoric.cox import (
+    ClassGroupElement,
     acts_freely,
     class_group,
     complement_codim,
@@ -16,7 +18,7 @@ from coxtoric.cox import (
 )
 from coxtoric.corpus import affine_space
 from coxtoric.errors import HypothesisError, ShapeError
-from coxtoric.fans import fan_from_max_cones, is_map_of_fans
+from coxtoric.fans import fan_from_max_cones, fan_to_dict, is_map_of_fans
 from coxtoric.cones import cone_from_rays
 from coxtoric.groups import decompose_subgroup
 from coxtoric.intlin import IntMatrix, lattice_canonical_form
@@ -249,8 +251,38 @@ class TestClassGroup:
         # the same degrees as one monomial at a time
         assert degrees == [degree_of_monomial(p, _unit(i, 3)) for i in range(3)]
 
+    def test_classgroup_request_takes_one_smith_form_of_q_transpose(
+            self, corpus, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "p112.json"
+        path.write_text(json.dumps(fan_to_dict(corpus["p112"])))
+        qt = cox_presentation(corpus["p112"]).q_matrix.transpose()
+        calls = []
+        for module in (intlin, cones, cox, groups):
+            monkeypatch.setattr(module, "smith_normal_form",
+                                lambda a, real=module.smith_normal_form: calls.append(a) or real(a))
+        assert cli.main(["classgroup", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["free"] == 1
+        # class group and ray degrees read the same Smith form
+        assert calls.count(qt) == 1
+
+    def test_bad_element_arguments_raise_shape_error(self):
+        with pytest.raises(ShapeError, match="2 torsion residues for 1 moduli"):
+            ClassGroupElement((1,), (0, 1), (2,))
+        for residue in (2, -1):
+            with pytest.raises(ShapeError, match="not reduced modulo"):
+                ClassGroupElement((), (residue,), (2,))
+
 
 class TestLiftSubtorus:
+    def test_inconsistent_solution_raises_arithmetic_error(self, corpus, monkeypatch):
+        p = cox_presentation(corpus["quadric_cone"])
+        monkeypatch.setattr(cox, "solve_integer", lambda a, b: None)
+        with pytest.raises(ArithmeticError, match="no integer solution"):
+            lift_subtorus(p, iota([0], [1]))
+        monkeypatch.setattr(cox, "solve_integer", lambda a, b: (0,) * a.cols)
+        with pytest.raises(ArithmeticError, match="do not satisfy"):
+            lift_subtorus(p, iota([0], [1]))
+
     def test_projective_plane_degree_one(self, corpus):
         p = cox_presentation(corpus["p2"])
         result = lift_subtorus(p, iota([1], [0]))

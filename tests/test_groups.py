@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxtoric import groups
 from coxtoric.errors import HypothesisError, ShapeError
 from coxtoric.groups import (
     DiagonalizableSubgroup,
@@ -22,7 +23,7 @@ from coxtoric.groups import (
     is_effective,
     subgroup_from_weights,
 )
-from coxtoric.intlin import IntMatrix, vector_gcd
+from coxtoric.intlin import IntMatrix, SnfResult, vector_gcd
 
 
 def weight(rows):
@@ -233,6 +234,20 @@ class TestCharacterRootIsogeny:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             character_root_isogeny((1, 2), 0)
+
+    def test_inconsistent_smith_form_raises_arithmetic_error(self, monkeypatch):
+        real = groups.smith_normal_form
+        monkeypatch.setattr(groups, "smith_normal_form", lambda a: SnfResult(
+            IntMatrix.identity(a.rows), real(a).D, real(a).V))
+        with pytest.raises(ArithmeticError, match="does not send"):
+            character_root_isogeny((1, 2), 2)
+
+    def test_indivisible_image_raises_arithmetic_error(self, monkeypatch):
+        # a gcd that answers its first argument leaves kappa = 1, and
+        # kappa^T * (2) = (2) is not divisible by 4
+        monkeypatch.setattr(groups, "gcd", lambda a, b: a)
+        with pytest.raises(ArithmeticError, match="not divisible by 4"):
+            character_root_isogeny((2,), 4)
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=4), st.integers(1, 12))
     def test_identity_and_determinant(self, xi, d):
