@@ -5,12 +5,21 @@ Provides the computational substrate for everything else: Smith and
 cokernel invariant factors, lattice membership, and integer linear
 system solving.  No floats anywhere; rationals appear only as inputs
 to membership-style predicates elsewhere.
+
+One Smith elimination and one column Hermite elimination serve every
+caller, each carrying only the transforms its caller reads.  Results are
+certified by explicit checks that raise ArithmeticError:
+`smith_normal_form` checks U*A*V = D, `kernel_basis` checks A*K = 0 and
+the kernel's rank against an independent Bareiss rank, `saturation_basis`
+checks that A*V = U^-1*D divides exactly, `solve_integer` checks its
+solution by substitution and `invert_unimodular` checks A*V = I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InvalidRayError, ShapeError
@@ -114,15 +123,15 @@ class IntMatrix:
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = other.columns()
+        cols = list(zip(*other.entries)) if other.rows else [()] * other.cols
         return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(dot(row, c) for c in cols) for row in self.entries))
+                         tuple(tuple(sum(map(mul, row, c)) for c in cols) for row in self.entries))
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product; accepts int or Fraction entries."""
         if len(v) != self.cols:
             raise ShapeError(f"vector of length {len(v)} for a {self.rows}x{self.cols} matrix")
-        return tuple(dot(row, v) for row in self.entries)
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
     def scale(self, k: int) -> IntMatrix:
         return IntMatrix(self.rows, self.cols,
@@ -285,18 +294,26 @@ def _eliminate_col_entry(mats, r, t, j):
             _combine_cols(mat, t, j, x, y, p, q)
 
 
-def smith_normal_form(a: IntMatrix) -> SnfResult:
-    """Diagonalize by gcd-driven row/column reduction.
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
-    Pivots are chosen by minimal absolute value; whenever the current pivot
-    fails to divide an entry of the remaining block, that entry's row is
-    folded into the pivot row, which makes the resulting diagonal satisfy
-    the divisibility chain without a separate fix-up pass.
+
+def _smith_elimination(a: IntMatrix, carry_u: bool):
+    """The gcd-driven diagonalization behind smith_normal_form, on row lists.
+
+    Returns (D, U, V) with U*A*V = D.  U is None unless carry_u, so that
+    a caller that reads no U applies no row operation to it.  Pivots are
+    chosen by minimal absolute value; whenever the current pivot fails to
+    divide an entry of the remaining block, that entry's row is folded
+    into the pivot row, which makes the resulting diagonal satisfy the
+    divisibility chain without a separate fix-up pass.
     """
     m, n = a.rows, a.cols
     M = [list(row) for row in a.entries]
-    U = [list(row) for row in IntMatrix.identity(m).entries]
-    V = [list(row) for row in IntMatrix.identity(n).entries]
+    U = _identity_rows(m) if carry_u else None
+    V = _identity_rows(n)
+    row_mats = (M, U) if carry_u else (M,)
+    col_mats = (M, V)
 
     for t in range(min(m, n)):
         best = None
@@ -307,18 +324,18 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         if best is None:
             break
         if best[0] != t:
-            _swap_rows(M, t, best[0])
-            _swap_rows(U, t, best[0])
+            for mat in row_mats:
+                _swap_rows(mat, t, best[0])
         if best[1] != t:
-            _swap_cols(M, t, best[1])
-            _swap_cols(V, t, best[1])
+            for mat in col_mats:
+                _swap_cols(mat, t, best[1])
         while True:
             for i in range(t + 1, m):
                 if M[i][t]:
-                    _eliminate_row_entry((M, U), t, i)
+                    _eliminate_row_entry(row_mats, t, i)
             for j in range(t + 1, n):
                 if M[t][j]:
-                    _eliminate_col_entry((M, V), t, t, j)
+                    _eliminate_col_entry(col_mats, t, t, j)
             if any(M[i][t] for i in range(t + 1, m)):
                 continue
             piv = M[t][t]
@@ -332,20 +349,58 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                     break
             if bad is None:
                 break
-            for k in range(n):
-                M[t][k] += M[bad][k]
-            for k in range(m):
-                U[t][k] += U[bad][k]
+            for mat in row_mats:
+                mat[t] = [x + y for x, y in zip(mat[t], mat[bad])]
         if M[t][t] < 0:
-            for k in range(n):
-                M[t][k] = -M[t][k]
-            for k in range(m):
-                U[t][k] = -U[t][k]
+            for mat in row_mats:
+                mat[t] = [-x for x in mat[t]]
+    return M, U, V
 
-    result = SnfResult(IntMatrix.from_rows(U, m), IntMatrix.from_rows(M, n), IntMatrix.from_rows(V, n))
+
+def smith_normal_form(a: IntMatrix) -> SnfResult:
+    """Smith normal form with both transforms; U*A*V = D is checked and an
+    ArithmeticError raised if it fails."""
+    m, n = a.rows, a.cols
+    D, U, V = _smith_elimination(a, carry_u=True)
+    result = SnfResult(IntMatrix.from_rows(U, m), IntMatrix.from_rows(D, n), IntMatrix.from_rows(V, n))
     if result.U @ a @ result.V != result.D:
         raise ArithmeticError(f"Smith form of {a} fails U * A * V = D")
     return result
+
+
+def _column_hermite(mats, n: int) -> tuple[tuple[int, int], ...]:
+    """Column Hermite reduction of the m x n row lists mats[0], in place;
+    every column operation is applied to each matrix in `mats`.  Returns
+    the (row, column) pivots."""
+    M = mats[0]
+    pivots: list[tuple[int, int]] = []
+    c = 0
+    for i in range(len(M)):
+        if c >= n:
+            break
+        j0 = next((j for j in range(c, n) if M[i][j]), None)
+        if j0 is None:
+            continue
+        if j0 != c:
+            for mat in mats:
+                _swap_cols(mat, c, j0)
+        for j in range(c + 1, n):
+            if M[i][j]:
+                _eliminate_col_entry(mats, i, c, j)
+        if M[i][c] < 0:
+            for mat in mats:
+                for row in mat:
+                    row[c] = -row[c]
+        piv = M[i][c]
+        for j in range(c):
+            q = M[i][j] // piv
+            if q:
+                for mat in mats:
+                    for row in mat:
+                        row[j] -= q * row[c]
+        pivots.append((i, c))
+        c += 1
+    return tuple(pivots)
 
 
 def column_hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, tuple[tuple[int, int], ...]]:
@@ -358,45 +413,18 @@ def column_hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, tupl
 
     Returns (H, V, pivots) where pivots lists (row, column) pairs.
     """
-    m, n = a.rows, a.cols
+    n = a.cols
     M = [list(row) for row in a.entries]
-    V = [list(row) for row in IntMatrix.identity(n).entries]
-    pivots: list[tuple[int, int]] = []
-    c = 0
-    for i in range(m):
-        if c >= n:
-            break
-        j0 = next((j for j in range(c, n) if M[i][j]), None)
-        if j0 is None:
-            continue
-        if j0 != c:
-            _swap_cols(M, c, j0)
-            _swap_cols(V, c, j0)
-        for j in range(c + 1, n):
-            if M[i][j]:
-                _eliminate_col_entry((M, V), i, c, j)
-        if M[i][c] < 0:
-            for row in M:
-                row[c] = -row[c]
-            for row in V:
-                row[c] = -row[c]
-        piv = M[i][c]
-        for j in range(c):
-            q = M[i][j] // piv
-            if q:
-                for row in M:
-                    row[j] -= q * row[c]
-                for row in V:
-                    row[j] -= q * row[c]
-        pivots.append((i, c))
-        c += 1
-    return (IntMatrix.from_rows(M, n), IntMatrix.from_rows(V, n), tuple(pivots))
+    V = _identity_rows(n)
+    pivots = _column_hermite((M, V), n)
+    return (IntMatrix.from_rows(M, n), IntMatrix.from_rows(V, n), pivots)
 
 
 def lattice_canonical_form(a: IntMatrix) -> IntMatrix:
     """Canonical basis matrix of the column lattice of A (zero columns dropped)."""
-    H, _, pivots = column_hermite_normal_form(a)
-    return IntMatrix.from_columns([H.column(c) for _, c in pivots], rows=a.rows)
+    M = [list(row) for row in a.entries]
+    pivots = _column_hermite((M,), a.cols)
+    return IntMatrix.from_columns([[row[c] for row in M] for _, c in pivots], rows=a.rows)
 
 
 def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vector | None:
@@ -449,10 +477,25 @@ def divisibility_index(L: IntMatrix, v: Sequence[int]) -> int | None:
 
 
 def kernel_basis(a: IntMatrix) -> list[Vector]:
-    """Basis of the saturated lattice ker(A) in Z^cols (empty iff A injective)."""
-    snf = smith_normal_form(a)
-    rho = snf.rank()
-    return [snf.V.column(j) for j in range(rho, a.cols)]
+    """Basis of the saturated lattice ker(A) in Z^cols (empty iff A injective).
+
+    The basis K is the trailing columns of V in a Smith form U*A*V = D,
+    from an elimination that carries no U.  Checked: A*K = 0, and
+    len(K) = cols - rank(A) with the rank from an independent Bareiss
+    elimination of A; ArithmeticError if either fails.
+    """
+    D, _, V = _smith_elimination(a, carry_u=False)
+    rho = sum(1 for i in range(min(a.rows, a.cols)) if D[i][i])
+    kernel = [tuple(row[j] for row in V) for j in range(rho, a.cols)]
+    rank = _bareiss([list(row) for row in a.entries], a.cols)[0]
+    if len(kernel) != a.cols - rank:
+        raise ArithmeticError(f"kernel of {a} has {len(kernel)} generators, expected "
+                              f"{a.cols} - rank {rank}")
+    zero = (0,) * a.rows
+    for j, k in enumerate(kernel, rho):
+        if a.apply(k) != zero:
+            raise ArithmeticError(f"A does not annihilate kernel column {j} of V for A = {a}")
+    return kernel
 
 
 def cokernel_invariants(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
@@ -481,8 +524,22 @@ def invert_unimodular(a: IntMatrix) -> IntMatrix:
 
 def saturation_basis(a: IntMatrix) -> IntMatrix:
     """Basis (as columns) of the saturation of the column lattice of A,
-    i.e. of span_Q(columns) intersected with Z^rows."""
+    i.e. of span_Q(columns) intersected with Z^rows.
+
+    The basis is the first rho = rank(A) columns of U^-1 for the checked
+    Smith form U*A*V = D.  Since A*V = U^-1*D, column i < rho of U^-1 is
+    A*v_i / d_i, so no inverse is formed.  Checked: each division is exact
+    and A*v_j = 0 for j >= rho; ArithmeticError otherwise.
+    """
     snf = smith_normal_form(a)
     rho = snf.rank()
-    u_inv = invert_unimodular(snf.U)
-    return IntMatrix.from_columns([u_inv.column(i) for i in range(rho)], rows=a.rows)
+    images = (a @ snf.V).columns()
+    if any(any(c) for c in images[rho:]):
+        raise ArithmeticError(f"A does not annihilate a column of V past rank {rho} "
+                              f"for A = {a}")
+    basis = []
+    for i, (c, d) in enumerate(zip(images, snf.D.diagonal_entries()[:rho])):
+        if any(x % d for x in c):
+            raise ArithmeticError(f"A * v_{i} is not divisible by d_{i} = {d} for A = {a}")
+        basis.append([x // d for x in c])
+    return IntMatrix.from_columns(basis, rows=a.rows)

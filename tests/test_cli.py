@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxtoric.cli import main
 from coxtoric.cones import cone_from_rays
@@ -326,3 +330,87 @@ class TestDeterminism:
             first = capsys.readouterr().out
             assert main(cmd) == 0
             assert capsys.readouterr().out == first
+
+
+JSON_KEYS = ["rank", "rays", "max_cones", "weights", "monomial_matrices", "perm", "scalars"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2, width=16)
+    | st.sampled_from(["", "1/2", "0", "x", "1/0"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(JSON_KEYS) | st.text(max_size=2), children, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def small_matrices(draw):
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    return draw(st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@st.composite
+def fan_like(draw):
+    """A fan file with distinct nonzero rays of the stated rank and indices
+    in range, which is often, but not always, a valid fan."""
+    rank = draw(st.integers(1, 3))
+    ray = st.lists(st.integers(-1, 1), min_size=rank, max_size=rank).filter(any)
+    rays = draw(st.lists(ray, min_size=1, max_size=4, unique_by=tuple))
+    index = st.integers(0, len(rays) - 1)
+    cones = draw(st.lists(st.lists(index, min_size=1, max_size=rank, unique=True),
+                          max_size=3))
+    if draw(st.booleans()):
+        used = {i for c in cones for i in c}
+        cones += [[i] for i in range(len(rays)) if i not in used]
+    return {"rank": rank, "rays": rays, "max_cones": cones}
+
+
+# a drawn rank of 0 is kept, whatever the rows; any other rank is replaced
+# by the row count, so that most actions parse
+action_like = st.fixed_dictionaries(
+    {"rank": st.integers(0, 2), "weights": small_matrices()},
+    optional={"monomial_matrices": st.lists(st.fixed_dictionaries({
+        "perm": st.permutations(range(3)) | st.lists(st.integers(-1, 3), max_size=4),
+        "scalars": st.lists(st.sampled_from([0, 1, "1/2", "-1/3", "0/0", 2.5]), max_size=4),
+    }), max_size=2)}).map(lambda d: {**d, "rank": len(d["weights"])} if d["rank"] else d)
+
+# argv of each subcommand, with the shape its input files usually take;
+# each file is as often arbitrary JSON instead
+FUZZ_COMMANDS = {
+    "validate": (["validate", "{0}"], fan_like()),
+    "properties": (["properties", "{0}"], fan_like()),
+    "cox": (["cox", "{0}"], fan_like()),
+    "classgroup": (["classgroup", "{0}"], fan_like()),
+    "lift": (["lift", "{0}", "--iota", "{1}"], fan_like(), small_matrices()),
+    "diag": (["diag", "{0}"], action_like),
+    "pipeline": (["pipeline", "{0}", "--weights", "{1}"], fan_like(), action_like),
+    "snf": (["snf", "{0}"], small_matrices()),
+}
+
+
+class TestCliFuzz:
+    """Random JSON, raw or shaped like a fan, a matrix or a weight action,
+    fed to every subcommand: it exits 0, 1 or 2, no exception escapes, and
+    exit 2 comes with an error message."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+    @given(data=st.data())
+    @settings(max_examples=25)
+    def test_random_json_exits_0_1_or_2(self, command, workdir, data):
+        argv, *shapes = FUZZ_COMMANDS[command]
+        paths = []
+        for k, shape in enumerate(shapes):
+            path = workdir / f"{command}{k}.json"
+            path.write_text(json.dumps(data.draw(shape | json_values, label=f"file {k}")))
+            paths.append(str(path))
+        argv = [a.format(*paths) for a in argv]
+        if data.draw(st.booleans(), label="--json"):
+            argv.append("--json")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert (code == 2) == err.getvalue().startswith("error: ")

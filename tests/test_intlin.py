@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -39,6 +40,39 @@ matrices = st.integers(0, 5).flatmap(
 
 def M(rows):
     return IntMatrix.from_rows(rows)
+
+
+def count_calls(monkeypatch, *names):
+    """Counts of calls to the named intlin functions, through the module's
+    own bindings, for the rest of the test."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(intlin, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(intlin, name, counting)
+    return calls
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Matrices up to 5 x 5, often with a zero row or column, a row that
+    combines two others, or no rows or columns at all."""
+    a = draw(matrices)
+    rows = [list(r) for r in a.entries]
+    if rows and a.cols and draw(st.booleans()):
+        k = draw(st.integers(0, len(rows) - 1))
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[k] = [c * x + d * y for x, y in zip(rows[i], rows[j])]
+    if rows and a.cols and draw(st.booleans()):
+        j = draw(st.integers(0, a.cols - 1))
+        for row in rows:
+            row[j] = 0
+    return IntMatrix.from_rows(rows, cols=a.cols)
 
 
 @st.composite
@@ -139,6 +173,25 @@ class TestSmithNormalForm:
         assert a.rank() == rank_fraction_gauss([list(r) for r in a.entries], a.cols)
 
 
+class TestProducts:
+    def test_empty_inner_dimension(self):
+        assert IntMatrix.zero(2, 0) @ IntMatrix.zero(0, 3) == IntMatrix.zero(2, 3)
+
+    def test_no_rows(self):
+        assert IntMatrix.zero(0, 2) @ M([[1, 2, 3], [4, 5, 6]]) == IntMatrix.zero(0, 3)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            M([[1, 2]]) @ M([[1, 2]])
+        with pytest.raises(ShapeError):
+            M([[1, 2]]).apply((1, 2, 3))
+
+    def test_apply_to_fractions(self):
+        image = M([[2, 4], [0, 3]]).apply((Fraction(1, 2), Fraction(-1, 4)))
+        assert image == (Fraction(0), Fraction(-3, 4))
+        assert M([[2, 4], [0, 3]]).apply((Fraction(1, 2), 0)) == (1, 0)
+
+
 class TestDeterminant:
     @given(st.integers(0, 4).flatmap(lambda n: st.lists(
         st.lists(st.integers(-10, 10), min_size=n, max_size=n), min_size=n, max_size=n)))
@@ -187,6 +240,36 @@ class TestKernel:
 
     def test_injective(self):
         assert kernel_basis(IntMatrix.identity(2)) == []
+
+    @given(degenerate_matrices())
+    @settings(max_examples=100)
+    def test_is_the_trailing_columns_of_the_smith_transform(self, a):
+        s = smith_normal_form(a)
+        assert kernel_basis(a) == [s.V.column(j) for j in range(s.rank(), a.cols)]
+
+    def test_takes_no_smith_form(self, monkeypatch):
+        calls = count_calls(monkeypatch, "smith_normal_form")
+        assert len(kernel_basis(M([[1, 2, 3], [2, 4, 6]]))) == 2
+        assert calls == {"smith_normal_form": 0}
+
+    @pytest.mark.parametrize("corrupt", ["column", "rank"])
+    def test_corrupt_transform_raises_arithmetic_error(self, corrupt, monkeypatch):
+        real = intlin._smith_elimination
+
+        def corrupted(a, carry_u):
+            D, U, V = real(a, carry_u)
+            if corrupt == "column":
+                # a kernel column no longer annihilated by A
+                for row in V:
+                    row[-1] += row[0]
+            else:
+                # a zero pivot: one kernel vector too many
+                D[0][0] = 0
+            return D, U, V
+
+        monkeypatch.setattr(intlin, "_smith_elimination", corrupted)
+        with pytest.raises(ArithmeticError):
+            kernel_basis(M([[1, 2, 3], [2, 4, 6]]))
 
     @given(matrices)
     def test_saturated_and_annihilated(self, a):
@@ -306,6 +389,9 @@ class TestHermite:
             assert h.entries[i][c] > 0
             for j in range(c):
                 assert 0 <= h.entries[i][j] < h.entries[i][c]
+        # the elimination without V leaves the same pivot columns
+        assert lattice_canonical_form(a) == IntMatrix.from_columns(
+            [h.column(c) for _, c in pivots], rows=a.rows)
 
     @given(matrices)
     def test_canonical_form_is_lattice_invariant(self, a):
@@ -332,18 +418,37 @@ class TestSaturationAndInverse:
         with pytest.raises(ShapeError):
             invert_unimodular(M(rows))
 
-    def test_saturation_factors_u_once(self, monkeypatch):
-        calls = {"column_hermite_normal_form": 0, "solve_integer": 0}
-        for name in calls:
-            real = getattr(intlin, name)
-
-            def counting(*args, name=name, real=real):
-                calls[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(intlin, name, counting)
+    def test_saturation_forms_no_inverse(self, monkeypatch):
+        calls = count_calls(monkeypatch, "column_hermite_normal_form", "solve_integer",
+                            "invert_unimodular")
         saturation_basis(M([[2, 4, 0], [0, 6, 3], [1, 1, 1], [3, 0, 2]]))
-        assert calls == {"column_hermite_normal_form": 1, "solve_integer": 0}
+        assert calls == {"column_hermite_normal_form": 0, "solve_integer": 0,
+                         "invert_unimodular": 0}
+
+    @given(degenerate_matrices())
+    @settings(max_examples=100)
+    def test_saturation_is_the_leading_columns_of_u_inverse(self, a):
+        s = smith_normal_form(a)
+        u_inv = invert_unimodular(s.U)
+        assert saturation_basis(a) == IntMatrix.from_columns(
+            [u_inv.column(i) for i in range(s.rank())], rows=a.rows)
+
+    @pytest.mark.parametrize("corrupt", ["factor", "past_rank"])
+    def test_corrupt_smith_form_raises_arithmetic_error(self, corrupt, monkeypatch):
+        real = intlin.smith_normal_form
+
+        def corrupted(a):
+            s = real(a)
+            if corrupt == "factor":
+                # d_1 = 3 does not divide A * v_1
+                diag = [3] + list(s.D.diagonal_entries()[1:])
+                return intlin.SnfResult(s.U, IntMatrix.diagonal(diag), s.V)
+            # rank 1 claimed for a rank-2 matrix
+            return intlin.SnfResult(s.U, IntMatrix.diagonal([1, 0]), s.V)
+
+        monkeypatch.setattr(intlin, "smith_normal_form", corrupted)
+        with pytest.raises(ArithmeticError):
+            saturation_basis(M([[1, 0], [0, 2]]))
 
     def test_saturation_of_doubled_lattice(self):
         sat = saturation_basis(M([[2], [0]]))
