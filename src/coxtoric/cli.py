@@ -271,6 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # integers are read and written exactly, however long: lift the cap that
+    # Python 3.10.7+ puts on int <-> str conversion (0 = none) for this request
+    previous_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if previous_limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except InputError as exc:
@@ -282,6 +287,9 @@ def main(argv=None) -> int:
     except ToricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if previous_limit:
+            sys.set_int_max_str_digits(previous_limit)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd
 from typing import Sequence
 
 from .errors import HypothesisError, ShapeError
@@ -45,11 +46,9 @@ class DiagonalizableSubgroup:
     def dimension(self) -> int:
         return self.ambient - self.relations.rank()
 
-    def is_connected(self) -> bool:
-        _, torsion = cokernel_invariants(self.relations)
-        return torsion == ()
-
+    @cached_property
     def canonical_relations(self) -> IntMatrix:
+        """Canonical basis of the relation lattice, taken once per subgroup."""
         return lattice_canonical_form(self.relations)
 
     @staticmethod
@@ -159,12 +158,13 @@ def classify_quotient(group: DiagonalizableSubgroup) -> Vector | None:
     and the quotient is a point: returns None.
     """
     m = group.ambient
-    if group.dimension != m - 1:
+    dimension, torsion = decompose_subgroup(group)
+    if dimension != m - 1:
         raise HypothesisError(
-            f"subgroup has dimension {group.dimension}, expected {m - 1}")
-    if not group.is_connected():
+            f"subgroup has dimension {dimension}, expected {m - 1}")
+    if torsion:
         raise HypothesisError("subgroup is not connected")
-    gen = group.canonical_relations().column(0)
+    gen = group.canonical_relations.column(0)
     if all(x >= 0 for x in gen):
         return gen
     if all(x <= 0 for x in gen):
@@ -190,12 +190,9 @@ def commutes_with_torus(g: MonomialMatrix, group: DiagonalizableSubgroup) -> boo
     """
     if g.size != group.ambient:
         raise ShapeError("monomial matrix size does not match ambient rank")
-    inv = g._perm_inverse()
-    permuted = IntMatrix.from_columns(
-        [tuple(col[inv[i]] for i in range(g.size))
-         for col in group.relations.columns()],
-        rows=group.ambient)
-    return lattice_canonical_form(permuted) == group.canonical_relations()
+    permuted = IntMatrix.from_rows([group.relations.row(j) for j in g._perm_inverse()],
+                                   cols=group.relations.cols)
+    return lattice_canonical_form(permuted) == group.canonical_relations
 
 
 def centralizes_torus(g: MonomialMatrix, group: DiagonalizableSubgroup) -> bool:

@@ -7,7 +7,9 @@ system solving.  No floats anywhere; rationals appear only as inputs
 to membership-style predicates elsewhere.
 
 One Smith elimination and one column Hermite elimination serve every
-caller, each carrying only the transforms its caller reads.  Results are
+caller, each carrying only the transforms its caller reads.  Membership,
+divisibility index and integer solving are one back-substitution against
+the column Hermite form; only solving carries its transform.  Results are
 certified by explicit checks that raise ArithmeticError:
 `smith_normal_form` checks U*A*V = D, `kernel_basis` checks A*K = 0 and
 the kernel's rank against an independent Bareiss rank, `saturation_basis`
@@ -18,7 +20,7 @@ solution by substitution and `invert_unimodular` checks A*V = I.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -136,12 +138,6 @@ class IntMatrix:
     def scale(self, k: int) -> IntMatrix:
         return IntMatrix(self.rows, self.cols,
                          tuple(tuple(k * a for a in row) for row in self.entries))
-
-    def hstack(self, other: IntMatrix) -> IntMatrix:
-        if self.rows != other.rows:
-            raise ShapeError("hstack needs equal row counts")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
 
     def diagonal_entries(self) -> Vector:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -427,28 +423,40 @@ def lattice_canonical_form(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns([[row[c] for row in M] for _, c in pivots], rows=a.rows)
 
 
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vector | None:
-    """One integer solution of A*x = b, or None.
-
-    The solution is the canonical one from Hermite back-substitution with
-    all free parameters set to zero; the result is verified by substitution.
-    """
-    if len(b) != a.rows:
-        raise ShapeError(f"rhs of length {len(b)} for a {a.rows}x{a.cols} system")
-    H, V, pivots = column_hermite_normal_form(a)
-    y = [0] * a.cols
-    pivot_col = dict(pivots)
-    for i in range(a.rows):
-        r = b[i] - sum(H.entries[i][j] * y[j] for j in range(a.cols) if y[j])
-        if i in pivot_col:
-            c = pivot_col[i]
-            piv = H.entries[i][c]
-            if r % piv:
+def _back_substitute(H, pivots, b: Sequence[int], cols: int) -> tuple[int, list[int]] | None:
+    """Least d >= 1 and integer y, zero off the pivot columns, with H*y = d*b
+    for the rows H and (row, column) pivots of a column Hermite form; None
+    off the span of H.  A pivot that fails to divide its row's remainder r
+    scales d and y by piv / gcd(r, piv), the least factor that makes it so."""
+    if len(b) != len(H):
+        raise ShapeError(f"vector of length {len(b)} for a lattice in Z^{len(H)}")
+    pivot_rows = {i for i, _ in pivots}
+    d = 1
+    y: list[int] = []
+    for i, row in enumerate(H):
+        # row i is zero from column len(y) on, except at its own pivot
+        r = d * b[i] - sum(map(mul, row, y))
+        if i not in pivot_rows:
+            if r:
                 return None
-            y[c] = r // piv
-        elif r != 0:
-            return None
-    x = V.apply(y)
+            continue
+        piv = row[len(y)]
+        if r % piv:
+            s = piv // gcd(r, piv)
+            d, r = d * s, r * s
+            y = [s * x for x in y]
+        y.append(r // piv)
+    return d, y + [0] * (cols - len(y))
+
+
+def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vector | None:
+    """One integer solution of A*x = b, or None: x = V*y for the Hermite form
+    H = A*V and the back-substitution y; it is verified by substitution."""
+    H, V, pivots = column_hermite_normal_form(a)
+    found = _back_substitute(H.entries, pivots, b, a.cols)
+    if found is None or found[0] != 1:
+        return None
+    x = V.apply(found[1])
     if a.apply(x) != tuple(b):
         raise ArithmeticError(f"solution {x} of A * x = {tuple(b)} fails substitution")
     return x
@@ -456,24 +464,18 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vector | None:
 
 def lattice_membership(L: IntMatrix, v: Sequence[int]) -> bool:
     """Whether v lies in the lattice generated by the columns of L."""
-    return solve_integer(L, v) is not None
+    return divisibility_index(L, v) == 1
 
 
 def divisibility_index(L: IntMatrix, v: Sequence[int]) -> int | None:
     """Smallest d >= 1 with d*v in the column lattice of L; None iff v is
-    not even in the rational span of the columns."""
-    if len(v) != L.rows:
-        raise ShapeError(f"vector of length {len(v)} for a lattice in Z^{L.rows}")
-    snf = smith_normal_form(L)
-    w = snf.U.apply(v)
-    rho = snf.rank()
-    if any(w[i] for i in range(rho, L.rows)):
-        return None
-    d = 1
-    diag = snf.D.diagonal_entries()
-    for i in range(rho):
-        d = lcm(d, diag[i] // gcd(diag[i], w[i]))
-    return d
+    not even in the rational span of the columns.  d comes from the
+    back-substitution shared with `solve_integer`, against L's Hermite form
+    taken without V; only `solve_integer` forms a solution and checks it."""
+    H = [list(row) for row in L.entries]
+    pivots = _column_hermite((H,), L.cols)
+    found = _back_substitute(H, pivots, v, L.cols)
+    return None if found is None else found[0]
 
 
 def kernel_basis(a: IntMatrix) -> list[Vector]:

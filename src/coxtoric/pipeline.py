@@ -19,7 +19,7 @@ from .cox import CoxPresentation, cox_presentation
 from .errors import ShapeError, UnsupportedShapeError
 from .fans import Fan
 from .groups import WeightAction, decompose_subgroup, is_effective
-from .intlin import IntMatrix, kernel_basis, saturation_basis
+from .intlin import IntMatrix, saturation_basis
 
 DEGENERATE_FAN = "degenerate-fan"
 HOLES_NOT_CERTIFIED = "holes-not-certified"
@@ -79,22 +79,22 @@ def theorem_pipeline(delta: Fan, action: WeightAction) -> PipelineReport:
             f"weight matrix has {action.weights.cols} columns, fan has {m} rays")
     n, r = delta.rank, action.torus_rank
 
-    nondegenerate = delta.is_nondegenerate()
     try:
         holes = delta.has_convex_support()
     except UnsupportedShapeError:
         holes = NOT_CERTIFIED
 
     p = cox_presentation(delta)
+    rank_q = p.q_matrix.rank()
+    nondegenerate = rank_q == n
     summary = _cox_summary(p, nondegenerate)
     effective = is_effective(action)
 
-    qt = p.q_matrix.transpose()
-    ker_w = IntMatrix.from_columns(kernel_basis(action.weights), rows=m)
-    meet_rank = ker_w.rank() + qt.rank() - ker_w.hstack(qt).rank()
-    combined_dimension = m - meet_rank
-
+    # ker W meets span(Q^T) in {Q^T y : (Q W^T)^T y = 0}, and ker Q^T lies in
+    # ker (Q W^T)^T, so the meet has rank rank(Q) - rank(Q W^T)
     embedding = p.q_matrix @ action.weights.transpose()
+    meet_rank = rank_q - embedding.rank()
+    combined_dimension = m - meet_rank
 
     diagnostic = None
     if not nondegenerate:
@@ -103,7 +103,7 @@ def theorem_pipeline(delta: Fan, action: WeightAction) -> PipelineReport:
         diagnostic = HOLES_NOT_CERTIFIED
     elif not effective:
         diagnostic = INEFFECTIVE_ACTION
-    elif r != n - 1 or meet_rank != 1 or embedding.rank() != n - 1:
+    elif r != n - 1 or meet_rank != 1:
         diagnostic = WRONG_DIMENSION
 
     if diagnostic is not None:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -12,8 +13,10 @@ from coxtoric.cones import cone_from_rays
 from coxtoric.corpus import affine_space, corpus_fans
 from coxtoric.fans import fan_from_max_cones, fan_to_dict
 from coxtoric.groups import WeightAction
-from coxtoric.intlin import IntMatrix
+from coxtoric.intlin import IntMatrix, kernel_basis
 from coxtoric.pipeline import theorem_pipeline
+from fangen import random_simplicial_fan
+from oracles import rank_fraction_gauss
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,41 @@ class TestTheoremPipeline:
         assert report.hypotheses_met
         assert report.combined_dimension == 1
         assert report.embedding.cols == 0
+
+    @given(st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=30)
+    def test_combined_dimension_is_the_kernel_and_span_formula(self, rnd, data):
+        fan = random_simplicial_fan(rnd, data.draw(st.integers(1, 3)))
+        m = len(fan.rays)
+        rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                                  max_size=3))
+        if len(rows) > 1 and data.draw(st.booleans()):
+            rows[-1] = [2 * x for x in rows[0]]  # rank-deficient W
+        w = IntMatrix.from_rows(rows, cols=m)
+        report = theorem_pipeline(fan, WeightAction(len(rows), w))
+        # m - dim(ker W meet span Q^T), the meet's dimension taken as
+        # dim ker W + dim span Q^T - dim of the two spanning sets side by side
+        ker_w = kernel_basis(w)
+        stacked = [[k[i] for k in ker_w] + list(ray) for i, ray in enumerate(fan.rays)]
+        n = fan.rank
+        meet = (len(ker_w) + rank_fraction_gauss([list(r) for r in fan.rays], n)
+                - rank_fraction_gauss(stacked, len(ker_w) + n))
+        assert report.combined_dimension == m - meet
+
+    def test_kernel_basis_calls_are_the_fan_checks_own(self, monkeypatch):
+        # the combined dimension comes from two ranks; no kernel of W is taken
+        fan, fresh = corpus_fans()["bl0_a2"], corpus_fans()["bl0_a2"]
+        seen = []
+        real = sys.modules["coxtoric.intlin"].kernel_basis
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("coxtoric") and getattr(mod, "kernel_basis", None) is real:
+                monkeypatch.setattr(mod, "kernel_basis", lambda a: seen.append(a) or real(a))
+        fresh.has_convex_support()
+        own = len(seen)
+        action = WeightAction(1, IntMatrix.from_rows([[1, 0, 0]]))
+        assert theorem_pipeline(fan, action).hypotheses_met
+        assert len(seen) == 2 * own
+        assert action.weights not in seen
 
 
 class TestCliCommands:
@@ -217,6 +255,32 @@ class TestCliCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["D"] == [[1, 0], [0, 6]]
         assert data["invariant_factors"] == [1, 6]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no limit on int <-> str conversion before Python 3.10.7")
+    def test_integers_past_the_str_conversion_limit(self, tmp_path, capsys):
+        # the Smith transforms of this matrix reach about 24,500 digits, past
+        # Python's default limit of 4300 digits for int <-> str conversion
+        rng = random.Random(28)
+        rows = [[rng.randint(-10, 10) for _ in range(28)] for _ in range(26)]
+        limit = sys.get_int_max_str_digits()
+        assert main(["snf", write(tmp_path, "m.json", rows), "--json"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        out = capsys.readouterr().out
+        sys.set_int_max_str_digits(0)
+        try:
+            data = json.loads(out)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        U, D, V = (IntMatrix.from_rows(data[k]) for k in "UDV")
+        assert U @ IntMatrix.from_rows(rows) @ V == D
+        assert max(abs(x) for row in U.entries + V.entries for x in row) > 10 ** 4300
+        # a 5000-digit ray is read whole, and rejected with a message
+        path = write(tmp_path, "fan.json",
+                     '{"rank": 1, "rays": [[' + "7" * 5000 + ']], "max_cones": [[0]]}')
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sys.get_int_max_str_digits() == limit
 
     def test_pipeline_success_and_failure_exit_codes(self, fan_files, tmp_path, capsys):
         w = write(tmp_path, "w.json", {"rank": 1, "weights": [[1, 0, 0]]})

@@ -53,7 +53,7 @@ class TestSubgroupFromWeights:
 
     def test_image_closure_is_connected(self):
         g = subgroup_from_weights(weight([[2, 0], [0, 3]]))
-        assert g.is_connected()
+        assert decompose_subgroup(g) == (2, ())
 
 
 class TestEffective:
@@ -94,6 +94,14 @@ class TestClassifyQuotient:
         if result is not None:
             assert vector_gcd(result) == 1
             assert all(x >= 0 for x in result)
+
+    def test_takes_no_bareiss_rank(self, monkeypatch):
+        # dimension and torsion both come from one cokernel decomposition
+        calls = []
+        real = IntMatrix.rank
+        monkeypatch.setattr(IntMatrix, "rank", lambda self: calls.append(self) or real(self))
+        assert classify_quotient(rank_one_subgroup((1, 2))) == (1, 2)
+        assert calls == []
 
 
 class TestCoordinateSubtorus:
@@ -181,6 +189,17 @@ class TestCommutesWithTorus:
         diag = MonomialMatrix((0, 1, 2), (Fraction(1, 2), Fraction(1, 3), 0))
         assert centralizes_torus(diag, g0)
         assert commutes_with_torus(diag, g0)
+
+    def test_canonical_relations_taken_once_per_subgroup(self, monkeypatch):
+        calls = []
+        real = groups.lattice_canonical_form
+        monkeypatch.setattr(groups, "lattice_canonical_form",
+                            lambda a: calls.append(a) or real(a))
+        g0 = rank_one_subgroup((1, 1, 0))
+        for perm in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]:
+            commutes_with_torus(MonomialMatrix(perm, (0, 0, 0)), g0)
+        # one form per permuted lattice, plus one for the subgroup's own
+        assert len(calls) == 4
 
 
 class TestHyperplaneReport:

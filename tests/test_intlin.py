@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -352,11 +352,15 @@ class TestMembershipAndSolve:
         L2 = M([[2], [0]])
         assert lattice_membership(L2, (1, 1)) is False
         assert divisibility_index(L2, (1, 1)) is None
+        with pytest.raises(ShapeError):
+            lattice_membership(L2, (1, 1, 1))
 
     def test_solve_examples(self):
         assert solve_integer(IntMatrix.identity(3), (7, -2, 0)) == (7, -2, 0)
         assert solve_integer(M([[2]]), (1,)) is None
         assert solve_integer(M([[1, 1], [0, 2]]), (0, 2)) == (-1, 1)
+        with pytest.raises(ShapeError):
+            solve_integer(IntMatrix.zero(2, 0), (1,))
 
     @given(matrices, st.data())
     def test_solve_roundtrip(self, a, data):
@@ -368,13 +372,39 @@ class TestMembershipAndSolve:
 
     @given(matrices, st.data())
     def test_membership_routes_agree(self, a, data):
-        # Hermite-backed membership vs the Smith-form divisibility index
+        # Hermite back-substitution against the index read off U and D of the
+        # Smith form: d*v is in the lattice iff d*(U*v)_i is divisible by d_i
+        # below the rank and (U*v)_i = 0 from the rank on
         v = data.draw(st.lists(st.integers(-8, 8), min_size=a.rows, max_size=a.rows))
-        member = lattice_membership(a, v)
+        s = smith_normal_form(a)
+        w = s.U.apply(v)
+        smith_index = None
+        if not any(w[s.rank():]):
+            smith_index = 1
+            for d, x in zip(s.invariant_factors(), w):
+                smith_index = lcm(smith_index, d // gcd(d, x))
         index = divisibility_index(a, v)
-        assert member == (index == 1)
+        assert index == smith_index
+        assert lattice_membership(a, v) == (index == 1)
         if index is not None:
             assert lattice_membership(a, [index * x for x in v])
+
+    @given(st.integers(0, 2).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=2).map(
+            lambda rows: IntMatrix.from_rows(rows, cols=n))), st.data())
+    @settings(max_examples=25)
+    def test_index_matches_brute_force_on_tiny_lattices(self, a, data):
+        # with entries in [-2, 2] the index is at most 8 and every solution
+        # has coefficients far inside the oracle's search box
+        v = data.draw(st.lists(st.integers(-2, 2), min_size=a.rows, max_size=a.rows))
+        assert divisibility_index(a, v) == brute_divisibility_index(a.columns(), v)
+
+    def test_takes_no_normal_form_with_transforms(self, monkeypatch):
+        calls = count_calls(monkeypatch, "smith_normal_form", "column_hermite_normal_form")
+        L = M([[1, 1], [0, 2]])
+        assert divisibility_index(L, (0, 1)) == 2
+        assert lattice_membership(L, (1, 2)) is True
+        assert calls == {"smith_normal_form": 0, "column_hermite_normal_form": 0}
 
 
 class TestHermite:

@@ -15,3 +15,27 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _imported_names(tree):
+    """(line, bound name) of each import in the module, except __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_every_import_is_used():
+    # __init__.py imports names only to re-export them
+    files = sorted(p for p in Path(coxtoric.__file__).parent.glob("*.py")
+                   if p.name != "__init__.py")
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for line, name in _imported_names(tree)
+                   if name not in used]
+    assert unused == []
