@@ -147,6 +147,7 @@ def _cmd_cox(args) -> int:
     fan = _load_fan(args.fan)
     p = cox_mod.cox_presentation(fan)
     # H's relation matrix is Q^T: its decomposition is also the class group
+    # of a nondegenerate fan, and rank Q = m - its torus rank
     torus_rank, orders = decompose_subgroup(p.kernel_group)
     codim = cox_mod.complement_codim(p)
     _emit({
@@ -155,7 +156,7 @@ def _cmd_cox(args) -> int:
         "sigma_max_cones": [list(s) for s in p.sigma],
         "subgroup": {"torus_rank": torus_rank, "cyclic_orders": list(orders)},
         "class_group": {"free": torus_rank, "torsion": list(orders)}
-        if fan.is_nondegenerate() else None,
+        if p.num_coordinates - torus_rank == fan.rank else None,
         "complement_codim": codim,
         "complement_empty": codim == p.num_coordinates + 1,
     }, args.json)
@@ -202,7 +203,8 @@ def _cmd_diag(args) -> int:
     exponents = classify_quotient(group)
     payload = {
         "effective": is_effective(action),
-        "subgroup_dimension": group.dimension,
+        # classify_quotient raised unless the subgroup has dimension m - 1
+        "subgroup_dimension": group.ambient - 1,
         "quotient": "point" if exponents is None else "monomial",
         "monomial_exponents": None if exponents is None else list(exponents),
         "monomial_matrices": [],

@@ -84,7 +84,7 @@ class CoxPresentation:
         exponent vectors to coordinates in which the grading group is the
         product of the Z/d_i and Z^free."""
         if not self.delta.is_nondegenerate():
-            raise HypothesisError("grading requires a nondegenerate fan")
+            raise HypothesisError("class group requires a nondegenerate fan")
         return smith_normal_form(self.q_matrix.transpose())
 
 
@@ -152,8 +152,6 @@ def variety_is_smooth(delta: Fan) -> bool:
 
 def class_group(p: CoxPresentation) -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion) of the grading group Z^m / im(Q^T)."""
-    if not p.delta.is_nondegenerate():
-        raise HypothesisError("class group requires a nondegenerate fan")
     snf = p._grading_snf
     return p.num_coordinates - snf.rank(), tuple(d for d in snf.invariant_factors() if d > 1)
 

@@ -14,6 +14,8 @@ first read.  Walls and boundary facets are read off the same incidence; in
 a validated fan a cone whose rays are all rays of a maximal cone is a face
 of it, so wall incidence is ray-set inclusion.  A fan whose rays span a
 proper subspace is carried onto the span as is, without validating again.
+Convex support is decided wall by wall: a boundary wall's own facet normal
+must be >= 0 on every ray, so the hull of the rays is never computed.
 The ray order of a fan fixes coordinates downstream: it is the order of the
 file's `rays` list for a fan read by `fan_from_dict`, and the first-appearance
 order across the maximal cones for one built by `fan_from_max_cones`.
@@ -122,13 +124,13 @@ class Fan:
         Criterion: let C be the cone generated by all rays.  For a pure
         full-dimensional fan the support is closed with topological boundary
         contained in the boundary walls (walls incident to exactly one
-        maximal cone).  If every boundary wall lies in a facet hyperplane of
-        C, the support is open and closed in the interior of C and hence
-        equals C by connectedness; otherwise a boundary wall pokes into the
-        interior of C and the support is not convex.  Fans whose rays span a
-        proper subspace are first reduced to that subspace; if the fan is
-        not pure full-dimensional after reduction, the criterion does not
-        apply and UnsupportedShapeError is raised.
+        maximal cone).  If each boundary wall lies in a facet of C, the
+        support is open and closed in the interior of C, hence equals C by
+        connectedness; otherwise it is not convex.  A boundary wall lies in
+        a facet of C iff its cone's facet normal there is >= 0 on every ray,
+        so C is never computed.  Fans whose rays span a proper subspace are
+        first reduced to it; if the fan is not pure full-dimensional after
+        reduction, UnsupportedShapeError is raised.
         """
         convex, _ = self._convex_support_analysis()
         return convex
@@ -166,36 +168,27 @@ class Fan:
             raise UnsupportedShapeError(
                 "support is not pure full-dimensional; convexity not certified")
 
-        hull_normals, hull_eqs = dual_constraints(self.rank, self.rays)
-        if hull_eqs:
-            raise ArithmeticError(
-                f"rays of rank {self.rank} have hull span equations {hull_eqs}")
         for rays, incident in self._wall_incidence():
             if len(incident) != 1:
                 continue
-            in_hull_facet = any(all(dot(u, r) == 0 for r in rays) for u in hull_normals)
-            if in_hull_facet:
-                continue
-            witness = self._boundary_witness(rays, incident[0], hull_normals)
-            return False, witness
+            sigma = self.max_cones[incident[0]]
+            u = next(u for u, f in zip(sigma.facet_normals, sigma.facet_rays)
+                     if set(f) == set(rays))
+            below = next((r for r in self.rays if dot(u, r) < 0), None)
+            if below is not None:
+                return False, self._boundary_witness(rays, below)
         return True, None
 
-    def _boundary_witness(self, wall_rays, index: int, hull_normals) -> tuple[Fraction, ...]:
-        """A point just outside the support across the boundary wall with
-        rays `wall_rays` of maximal cone `index`."""
-        sigma = self.max_cones[index]
-        facet_normal = next(u for u, rays in zip(sigma.facet_normals, sigma.facet_rays)
-                            if set(rays) == set(wall_rays))
+    def _boundary_witness(self, wall_rays, below: Vector) -> tuple[Fraction, ...]:
+        """A point of cone(all rays) outside the support: x0 + below/2^j for
+        x0 the sum of the wall's rays.  The wall's facet normal is negative
+        on the ray `below`, and x0 lies in no cone but the wall's one, so a
+        small enough step leaves every cone."""
         x0 = tuple(sum(col) for col in zip(*wall_rays))
-        away = tuple(-sum(col) for col in zip(*sigma.rays))
-        if dot(facet_normal, away) >= 0:
-            raise ArithmeticError(
-                f"facet normal {facet_normal} of {sigma!r} is not negative on {away}")
         k = 1
         for _ in range(64):
-            p = tuple(Fraction(a) + Fraction(b, k) for a, b in zip(x0, away))
-            in_hull = all(dot(u, p) >= 0 for u in hull_normals)
-            if in_hull and not self.contains_point(p):
+            p = tuple(Fraction(a) + Fraction(b, k) for a, b in zip(x0, below))
+            if not self.contains_point(p):
                 return p
             k *= 2
         raise ArithmeticError("no witness found; convex-support criterion inconsistent")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cox import CoxPresentation, cox_presentation
+from .cox import cox_presentation
 from .errors import ShapeError, UnsupportedShapeError
 from .fans import Fan
 from .groups import WeightAction, decompose_subgroup, is_effective
@@ -59,18 +59,6 @@ class PipelineReport:
         }
 
 
-def _cox_summary(p: CoxPresentation, nondegenerate: bool) -> dict:
-    # H's relation matrix is Q^T, so its decomposition is the class group
-    # Z^m / im(Q^T), which is defined for a nondegenerate fan
-    torus_rank, orders = decompose_subgroup(p.kernel_group)
-    return {
-        "m": p.num_coordinates,
-        "class_group": {"free": torus_rank, "torsion": list(orders)}
-        if nondegenerate else None,
-        "subgroup": {"torus_rank": torus_rank, "cyclic_orders": list(orders)},
-    }
-
-
 def theorem_pipeline(delta: Fan, action: WeightAction) -> PipelineReport:
     """Check the hypotheses and emit the subtorus embedding when they hold."""
     m = len(delta.rays)
@@ -85,9 +73,17 @@ def theorem_pipeline(delta: Fan, action: WeightAction) -> PipelineReport:
         holes = NOT_CERTIFIED
 
     p = cox_presentation(delta)
-    rank_q = p.q_matrix.rank()
+    # H's relation matrix is Q^T: its decomposition is the class group
+    # Z^m / im(Q^T) of a nondegenerate fan, and rank Q = m - its torus rank
+    torus_rank, orders = decompose_subgroup(p.kernel_group)
+    rank_q = m - torus_rank
     nondegenerate = rank_q == n
-    summary = _cox_summary(p, nondegenerate)
+    summary = {
+        "m": m,
+        "class_group": {"free": torus_rank, "torsion": list(orders)}
+        if nondegenerate else None,
+        "subgroup": {"torus_rank": torus_rank, "cyclic_orders": list(orders)},
+    }
     effective = is_effective(action)
 
     # ker W meets span(Q^T) in {Q^T y : (Q W^T)^T y = 0}, and ker Q^T lies in

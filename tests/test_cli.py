@@ -54,6 +54,16 @@ class TestTheoremPipeline:
         assert report.hypotheses_met
         assert report.embedding == IntMatrix.from_rows([[1], [0]])
 
+    def test_takes_two_ranks(self, corpus, count_calls):
+        # one for the convex-support span, one for the embedding; rank Q is
+        # read off H's decomposition
+        calls = count_calls(IntMatrix, "rank")
+        for name, fan in corpus.items():
+            action = WeightAction(0, IntMatrix.zero(0, len(fan.rays)))
+            calls["rank"] = 0
+            assert theorem_pipeline(fan, action).nondegenerate, name
+            assert calls == {"rank": 2}, name
+
     def test_projective_plane_diagonal_torus_rejected(self, corpus):
         # W = [1,1,1] lands inside the kernel subgroup: the group generated by
         # the lifted torus and H is too small, never reported as success
@@ -217,6 +227,8 @@ class TestCliCommands:
         path = write(tmp_path, "line.json",
                      {"rank": 2, "rays": [[1, 0]], "max_cones": [[0]]})
         assert main(["classgroup", path]) == 1
+        assert capsys.readouterr().err == (
+            "hypothesis not met: class group requires a nondegenerate fan\n")
 
     def test_lift(self, fan_files, tmp_path, capsys):
         iota = write(tmp_path, "iota.json", [[0], [1]])
@@ -237,6 +249,14 @@ class TestCliCommands:
         assert entry["commutes"] is True
         assert entry["fixes_zero_support"] is True
         assert entry["permutes_positive_support"] is True
+
+    def test_diag_takes_no_rank(self, tmp_path, capsys, count_calls):
+        # the quotient's classification already requires dimension m - 1
+        path = write(tmp_path, "w.json", {"rank": 2, "weights": [[1, 0, -1], [0, 1, -2]]})
+        calls = count_calls(IntMatrix, "rank")
+        assert main(["diag", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["subgroup_dimension"] == 2
+        assert calls == {"rank": 0}
 
     def test_diag_point_quotient(self, tmp_path, capsys):
         path = write(tmp_path, "w.json", {"rank": 1, "weights": [[1, 1]]})

@@ -43,6 +43,28 @@ def three_quadrants():
     ])
 
 
+def boundary_walls_lie_in_hull_facets(fan):
+    """Convex support of a pure full-dimensional fan by the hull: every
+    boundary wall lies in a facet of cone(all rays)."""
+    normals, _ = cones.dual_constraints(fan.rank, list(fan.rays))
+    return all(any(all(dot(u, r) == 0 for r in w.face.rays) for u in normals)
+               for w in fan.walls() if len(w.incident) == 1)
+
+
+def embed_one_rank_higher(rng, fan):
+    """The image of `fan` under r -> U(r, 0) for a random unimodular U."""
+    n = fan.rank + 1
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        u[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(u[i], u[j])]
+
+    def image(r):
+        return tuple(dot(row, (*r, 0)) for row in u)
+    return fan_from_max_cones(n, [cone_from_rays(n, [image(r) for r in c.rays])
+                                  for c in fan.max_cones])
+
+
 class TestConstruction:
     def test_projective_plane_face_closure(self, corpus):
         p2 = corpus["p2"]
@@ -226,15 +248,9 @@ class TestSeparation:
         assert fan_list[2].convex_support_witness() is not None
         assert calls == []
 
-    def test_inconsistent_dual_data_raises_arithmetic_error(self, corpus, monkeypatch):
+    def test_inconsistent_dual_data_raises_arithmetic_error(self, monkeypatch):
         pinched = fan_from_max_cones(2, [cone_from_rays(2, [(1, 0), (0, 1)]),
                                          cone_from_rays(2, [(-1, 0), (0, -1)])])
-        real = fans.dual_constraints
-        # the rays of p2 span the plane, so their hull has no span equations
-        monkeypatch.setattr(fans, "dual_constraints",
-                            lambda rank, gens: (real(rank, gens)[0], [(1, 0)]))
-        with pytest.raises(ArithmeticError, match="span equations"):
-            corpus["p2"].has_convex_support()
         # the pinched pair needs the summed normals; a normal negative on a
         # ray of the first cone is no separating functional
         monkeypatch.setattr(fans, "dual_constraints", lambda rank, gens: ([(1, -1)], []))
@@ -368,6 +384,39 @@ class TestConvexSupport:
         w = fan.convex_support_witness()
         assert cone_contains_lp(w, list(fan.rays))
         assert not fan.contains_point(w)
+
+    def test_agrees_with_the_hull_facet_criterion(self, rng):
+        # complete fans, their subsets, and each embedded one rank higher,
+        # which is linearly isomorphic to it and so keeps its verdict
+        for _ in range(40):
+            rank = rng.randint(1, 3)
+            complete = random_complete_simplicial_fan(rng, rank)
+            kept = [c for c in complete.max_cones if rng.random() < 0.6]
+            for fan in (complete, fan_from_max_cones(rank, kept or complete.max_cones[:1])):
+                verdict = boundary_walls_lie_in_hull_facets(fan)
+                embedded = embed_one_rank_higher(rng, fan)
+                for f in (fan, embedded):
+                    assert f.has_convex_support() is verdict, f
+                    w = f.convex_support_witness()
+                    if verdict:
+                        assert w is None
+                    else:
+                        assert cone_contains_lp(w, list(f.rays))
+                        assert not f.contains_point(w)
+
+    def test_takes_no_hull(self, corpus, rng, count_calls):
+        stellar = random_complete_simplicial_fan(rng, 3, subdivisions=4)
+        fan_list = [*corpus.values(), stellar, three_quadrants()]
+        calls = count_calls(fans, "dual_constraints")
+        verdicts = [f.has_convex_support() for f in fan_list]
+        assert verdicts == [True] * (len(fan_list) - 1) + [False]
+        assert calls == {"dual_constraints": 0}
+
+    def test_witness_search_gives_up_with_arithmetic_error(self, monkeypatch):
+        fan = three_quadrants()
+        monkeypatch.setattr(fans.Fan, "contains_point", lambda self, point: True)
+        with pytest.raises(ArithmeticError, match="no witness found"):
+            fan.convex_support_witness()
 
     def test_sampling_soundness_random(self, rng):
         for _ in range(25):

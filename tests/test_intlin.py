@@ -42,21 +42,6 @@ def M(rows):
     return IntMatrix.from_rows(rows)
 
 
-def count_calls(monkeypatch, *names):
-    """Counts of calls to the named intlin functions, through the module's
-    own bindings, for the rest of the test."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        real = getattr(intlin, name)
-
-        def counting(*args, name=name, real=real):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(intlin, name, counting)
-    return calls
-
-
 @st.composite
 def degenerate_matrices(draw):
     """Matrices up to 5 x 5, often with a zero row or column, a row that
@@ -247,8 +232,8 @@ class TestKernel:
         s = smith_normal_form(a)
         assert kernel_basis(a) == [s.V.column(j) for j in range(s.rank(), a.cols)]
 
-    def test_takes_no_smith_form(self, monkeypatch):
-        calls = count_calls(monkeypatch, "smith_normal_form")
+    def test_takes_no_smith_form(self, count_calls):
+        calls = count_calls(intlin, "smith_normal_form")
         assert len(kernel_basis(M([[1, 2, 3], [2, 4, 6]]))) == 2
         assert calls == {"smith_normal_form": 0}
 
@@ -399,8 +384,8 @@ class TestMembershipAndSolve:
         v = data.draw(st.lists(st.integers(-2, 2), min_size=a.rows, max_size=a.rows))
         assert divisibility_index(a, v) == brute_divisibility_index(a.columns(), v)
 
-    def test_takes_no_normal_form_with_transforms(self, monkeypatch):
-        calls = count_calls(monkeypatch, "smith_normal_form", "column_hermite_normal_form")
+    def test_takes_no_normal_form_with_transforms(self, count_calls):
+        calls = count_calls(intlin, "smith_normal_form", "column_hermite_normal_form")
         L = M([[1, 1], [0, 2]])
         assert divisibility_index(L, (0, 1)) == 2
         assert lattice_membership(L, (1, 2)) is True
@@ -448,8 +433,8 @@ class TestSaturationAndInverse:
         with pytest.raises(ShapeError):
             invert_unimodular(M(rows))
 
-    def test_saturation_forms_no_inverse(self, monkeypatch):
-        calls = count_calls(monkeypatch, "column_hermite_normal_form", "solve_integer",
+    def test_saturation_forms_no_inverse(self, count_calls):
+        calls = count_calls(intlin, "column_hermite_normal_form", "solve_integer",
                             "invert_unimodular")
         saturation_basis(M([[2, 4, 0], [0, 6, 3], [1, 1, 1], [3, 0, 2]]))
         assert calls == {"column_hermite_normal_form": 0, "solve_integer": 0,
