@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -95,8 +96,10 @@ def _parse_monomial_matrix(data) -> MonomialMatrix:
     if not isinstance(perm, list) or not all(type(i) is int for i in perm):
         raise InputError("perm must be a list of integers")
     scalars = data["scalars"]
+    # only p/q: Fraction also takes exponents, and "1e-999999999" has 10^9 digits
     if not isinstance(scalars, list) or not all(
-            isinstance(s, str) or type(s) is int for s in scalars):
+            type(s) is int or isinstance(s, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s)
+            for s in scalars):
         raise InputError('scalars must be a list of strings "p/q" or integers')
     try:
         scalars = tuple(Fraction(s) for s in scalars)

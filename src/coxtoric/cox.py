@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 from typing import Sequence
 
 from .errors import HypothesisError, ShapeError, ToricError
@@ -28,9 +27,8 @@ from .intlin import (
     SnfResult,
     Vector,
     cokernel_invariants,
-    divisibility_index,
     smith_normal_form,
-    solve_integer,
+    solve_scaled,
 )
 
 
@@ -82,10 +80,11 @@ class CoxPresentation:
     def _grading_snf(self) -> SnfResult:
         """Smith form U * Q^T * V = D, taken once per presentation; U maps
         exponent vectors to coordinates in which the grading group is the
-        product of the Z/d_i and Z^free."""
-        if not self.delta.is_nondegenerate():
+        product of the Z/d_i and Z^free.  Its rank is n iff the fan is nondegenerate."""
+        snf = smith_normal_form(self.q_matrix.transpose())
+        if snf.rank() != self.delta.rank:
             raise HypothesisError("class group requires a nondegenerate fan")
-        return smith_normal_form(self.q_matrix.transpose())
+        return snf
 
 
 @dataclass(frozen=True)
@@ -190,8 +189,9 @@ def lift_subtorus(p: CoxPresentation, iota: IntMatrix) -> LiftResult:
     with weights W descends through the quotient to the subtorus action
     precomposed with the d-th power map.  Minimality of d is a refinement
     computed here; only existence of some such d is needed mathematically.
-    The particular W is the Hermite back-substitution solution; the full
-    solution set differs from it by ker(Q), i.e. by characters of H.
+    d and W come from one Hermite form of Q (`solve_scaled`, which checks
+    Q * W^T = d * iota); the full solution set differs from this W by ker(Q),
+    i.e. by characters of H.
     """
     n = p.delta.rank
     if iota.rows != n:
@@ -199,23 +199,9 @@ def lift_subtorus(p: CoxPresentation, iota: IntMatrix) -> LiftResult:
     r = iota.cols
     if iota.rank() != r:
         raise HypothesisError("iota must be injective (full column rank)")
-    d = 1
-    for j in range(r):
-        dj = divisibility_index(p.q_matrix, iota.column(j))
-        if dj is None:
-            raise ToricError(
-                "iota leaves the rational span of the rays; fan is degenerate")
-        d = lcm(d, dj)
-    cols: list[Vector] = []
-    for j in range(r):
-        target = tuple(d * x for x in iota.column(j))
-        w = solve_integer(p.q_matrix, target)
-        if w is None:
-            raise ArithmeticError(f"Q * w = {target} has no integer solution, "
-                                  f"though {d} is the divisibility index")
-        cols.append(w)
-    w_t = IntMatrix.from_columns(cols, rows=p.num_coordinates)
-    if p.q_matrix @ w_t != iota.scale(d):
-        raise ArithmeticError(f"lifted weights {w_t} do not satisfy Q * W^T = {d} * iota")
-    weights = w_t.transpose()
+    solved = solve_scaled(p.q_matrix, iota.columns())
+    if solved is None:
+        raise ToricError("iota leaves the rational span of the rays; fan is degenerate")
+    d, rows = solved
+    weights = IntMatrix.from_rows(rows, cols=p.num_coordinates)
     return LiftResult(weights, d, is_effective(WeightAction(r, weights)))

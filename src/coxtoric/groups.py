@@ -32,7 +32,8 @@ from .intlin import (
 
 @dataclass(frozen=True)
 class DiagonalizableSubgroup:
-    """Subgroup of (K*)^ambient cut out by the column lattice of `relations`."""
+    """Subgroup of (K*)^ambient cut out by the column lattice of `relations`.
+    Dimension, quotient and commutation tests read `canonical_relations`."""
 
     ambient: int
     relations: IntMatrix
@@ -44,7 +45,7 @@ class DiagonalizableSubgroup:
 
     @property
     def dimension(self) -> int:
-        return self.ambient - self.relations.rank()
+        return self.ambient - self.canonical_relations.cols
 
     @cached_property
     def canonical_relations(self) -> IntMatrix:
@@ -151,20 +152,20 @@ def classify_quotient(group: DiagonalizableSubgroup) -> Vector | None:
     """Classify the quotient of K^m by a connected codimension-one subtorus.
 
     The invariant monomials form the rank-one lattice of characters
-    vanishing on the subgroup.  If its primitive generator a (up to sign)
-    is componentwise nonnegative, the quotient map is the single monomial
-    z^a, with relatively prime nonnegative exponents: returns a.  Otherwise
-    there are no nonconstant invariant monomials with nonnegative exponents
-    and the quotient is a point: returns None.
+    vanishing on the subgroup, read off `canonical_relations` as one
+    generator a; the subgroup is connected iff a is primitive, since
+    Z^m / Z*a has torsion Z/gcd(a).  If a (up to sign) is componentwise
+    nonnegative, the quotient map is the single monomial z^a: returns a.
+    Otherwise there are no nonconstant invariant monomials with
+    nonnegative exponents and the quotient is a point: returns None.
     """
     m = group.ambient
-    dimension, torsion = decompose_subgroup(group)
-    if dimension != m - 1:
+    if group.dimension != m - 1:
         raise HypothesisError(
-            f"subgroup has dimension {dimension}, expected {m - 1}")
-    if torsion:
-        raise HypothesisError("subgroup is not connected")
+            f"subgroup has dimension {group.dimension}, expected {m - 1}")
     gen = group.canonical_relations.column(0)
+    if vector_gcd(gen) != 1:
+        raise HypothesisError("subgroup is not connected")
     if all(x >= 0 for x in gen):
         return gen
     if all(x <= 0 for x in gen):
@@ -190,9 +191,10 @@ def commutes_with_torus(g: MonomialMatrix, group: DiagonalizableSubgroup) -> boo
     """
     if g.size != group.ambient:
         raise ShapeError("monomial matrix size does not match ambient rank")
-    permuted = IntMatrix.from_rows([group.relations.row(j) for j in g._perm_inverse()],
-                                   cols=group.relations.cols)
-    return lattice_canonical_form(permuted) == group.canonical_relations
+    canonical = group.canonical_relations
+    permuted = IntMatrix.from_rows([canonical.row(j) for j in g._perm_inverse()],
+                                   cols=canonical.cols)
+    return lattice_canonical_form(permuted) == canonical
 
 
 def centralizes_torus(g: MonomialMatrix, group: DiagonalizableSubgroup) -> bool:
@@ -210,7 +212,7 @@ def centralizes_torus(g: MonomialMatrix, group: DiagonalizableSubgroup) -> bool:
         chi = [0] * g.size
         chi[i] += 1
         chi[pi] -= 1
-        if not lattice_membership(group.relations, chi):
+        if not lattice_membership(group.canonical_relations, chi):
             return False
     return True
 

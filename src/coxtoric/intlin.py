@@ -8,19 +8,20 @@ to membership-style predicates elsewhere.
 
 One Smith elimination and one column Hermite elimination serve every
 caller, each carrying only the transforms its caller reads.  Membership,
-divisibility index and integer solving are one back-substitution against
-the column Hermite form; only solving carries its transform.  Results are
-certified by explicit checks that raise ArithmeticError:
-`smith_normal_form` checks U*A*V = D, `kernel_basis` checks A*K = 0 and
-the kernel's rank against an independent Bareiss rank, `saturation_basis`
-checks that A*V = U^-1*D divides exactly, `solve_integer` checks its
-solution by substitution and `invert_unimodular` checks A*V = I.
+divisibility index and integer solving are one back-substitution per
+right-hand side against one column Hermite form; only solving carries its
+transform.  Results are certified by explicit checks that raise
+ArithmeticError: `smith_normal_form` checks U*A*V = D, `kernel_basis`
+checks A*K = 0 and the kernel's rank against an independent Bareiss rank,
+`saturation_basis` checks that A*V = U^-1*D divides exactly, `solve_scaled`
+checks every column of its solution by substitution and
+`invert_unimodular` checks A*V = I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -134,10 +135,6 @@ class IntMatrix:
         if len(v) != self.cols:
             raise ShapeError(f"vector of length {len(v)} for a {self.rows}x{self.cols} matrix")
         return tuple(sum(map(mul, row, v)) for row in self.entries)
-
-    def scale(self, k: int) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(k * a for a in row) for row in self.entries))
 
     def diagonal_entries(self) -> Vector:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -449,17 +446,29 @@ def _back_substitute(H, pivots, b: Sequence[int], cols: int) -> tuple[int, list[
     return d, y + [0] * (cols - len(y))
 
 
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vector | None:
-    """One integer solution of A*x = b, or None: x = V*y for the Hermite form
-    H = A*V and the back-substitution y; it is verified by substitution."""
+def solve_scaled(a: IntMatrix, rhs: Sequence[Sequence[int]]) -> tuple[int, list[Vector]] | None:
+    """Least d >= 1 with d*b_j in the column lattice of A for every column b_j
+    of `rhs`, and solutions x_j of A*x_j = d*b_j; None if some b_j is off the
+    rational span.  One Hermite form H = A*V serves every b_j: H*y_j = d_j*b_j
+    for its back-substitution y_j, so x_j = V*((d/d_j)*y_j).  Each x_j is
+    verified by substitution."""
     H, V, pivots = column_hermite_normal_form(a)
-    found = _back_substitute(H.entries, pivots, b, a.cols)
-    if found is None or found[0] != 1:
+    found = [_back_substitute(H.entries, pivots, b, a.cols) for b in rhs]
+    if None in found:
         return None
-    x = V.apply(found[1])
-    if a.apply(x) != tuple(b):
-        raise ArithmeticError(f"solution {x} of A * x = {tuple(b)} fails substitution")
-    return x
+    d = lcm(*(dj for dj, _ in found))
+    solutions = [V.apply([d // dj * t for t in y]) for dj, y in found]
+    for b, x in zip(rhs, solutions):
+        if a.apply(x) != tuple(d * t for t in b):
+            raise ArithmeticError(f"solution {x} of A * x = {d} * {tuple(b)} fails substitution")
+    return d, solutions
+
+
+def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vector | None:
+    """One integer solution of A*x = b, or None: the one-column case of
+    `solve_scaled` when its d is 1."""
+    found = solve_scaled(a, [b])
+    return found[1][0] if found is not None and found[0] == 1 else None
 
 
 def lattice_membership(L: IntMatrix, v: Sequence[int]) -> bool:
@@ -470,8 +479,8 @@ def lattice_membership(L: IntMatrix, v: Sequence[int]) -> bool:
 def divisibility_index(L: IntMatrix, v: Sequence[int]) -> int | None:
     """Smallest d >= 1 with d*v in the column lattice of L; None iff v is
     not even in the rational span of the columns.  d comes from the
-    back-substitution shared with `solve_integer`, against L's Hermite form
-    taken without V; only `solve_integer` forms a solution and checks it."""
+    back-substitution shared with `solve_scaled`, against L's Hermite form
+    taken without V; only `solve_scaled` forms a solution and checks it."""
     H = [list(row) for row in L.entries]
     pivots = _column_hermite((H,), L.cols)
     found = _back_substitute(H, pivots, v, L.cols)

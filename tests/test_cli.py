@@ -3,6 +3,7 @@ import io
 import json
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,28 @@ class TestCliCommands:
         assert entry["commutes"] is True
         assert entry["fixes_zero_support"] is True
         assert entry["permutes_positive_support"] is True
+
+    @pytest.mark.parametrize("scalar", ["1/2", "-1/3", "+2/4", "0", 0, -3])
+    def test_diag_accepts_integers_and_fractions(self, scalar, tmp_path, capsys):
+        path = write(tmp_path, "w.json", {
+            "rank": 1, "weights": [[1, -1]],
+            "monomial_matrices": [{"perm": [1, 0], "scalars": [scalar, "0"]}]})
+        assert main(["diag", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["monomial_matrices"][0]["commutes"]
+
+    @pytest.mark.parametrize("scalar", ["1e-4000000", "0.5", "1/2.0", " 1/2", "1 / 2",
+                                        "1_0", "", "/2", "1/"])
+    def test_diag_scalar_outside_p_over_q_exits_2_at_once(self, scalar, tmp_path, capsys):
+        # Fraction would take "1e-4000000" too, as an exact 4,000,000-digit
+        # denominator, in seconds
+        path = write(tmp_path, "w.json", {
+            "rank": 1, "weights": [[1, -1]],
+            "monomial_matrices": [{"perm": [1, 0], "scalars": [scalar, "0"]}]})
+        start = time.perf_counter()
+        assert main(["diag", path]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            'error: scalars must be a list of strings "p/q" or integers\n')
 
     def test_diag_takes_no_rank(self, tmp_path, capsys, count_calls):
         # the quotient's classification already requires dimension m - 1

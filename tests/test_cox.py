@@ -1,6 +1,6 @@
 import json
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -240,6 +240,13 @@ class TestClassGroup:
             p = cox_presentation(fan)
             assert decompose_subgroup(p.kernel_group) == class_group(p), fan
 
+    def test_class_group_takes_no_rank(self, corpus, count_calls):
+        # nondegeneracy is read off the grading Smith form's own rank
+        p = cox_presentation(corpus["p112"])
+        calls = count_calls(IntMatrix, "rank")
+        assert class_group(p) == (1, ())
+        assert calls == {"rank": 0}
+
     def test_ray_degrees_use_one_smith_form(self, corpus, monkeypatch):
         calls = []
         real = cox.smith_normal_form
@@ -274,14 +281,45 @@ class TestClassGroup:
 
 
 class TestLiftSubtorus:
-    def test_inconsistent_solution_raises_arithmetic_error(self, corpus, monkeypatch):
+    def test_wrong_hermite_transform_fails_substitution(self, corpus, monkeypatch):
+        # Q * W^T = d * iota is the solver's substitution check
+        real = intlin.column_hermite_normal_form
+
+        def identity_transform(a):
+            h, _, pivots = real(a)
+            return h, IntMatrix.identity(a.cols), pivots
+
         p = cox_presentation(corpus["quadric_cone"])
-        monkeypatch.setattr(cox, "solve_integer", lambda a, b: None)
-        with pytest.raises(ArithmeticError, match="no integer solution"):
+        monkeypatch.setattr(intlin, "column_hermite_normal_form", identity_transform)
+        with pytest.raises(ArithmeticError, match="fails substitution"):
             lift_subtorus(p, iota([0], [1]))
-        monkeypatch.setattr(cox, "solve_integer", lambda a, b: (0,) * a.cols)
-        with pytest.raises(ArithmeticError, match="do not satisfy"):
-            lift_subtorus(p, iota([0], [1]))
+
+    def test_takes_one_hermite_form(self, corpus, count_calls):
+        # d and every column of W come from one Hermite form of Q
+        p = cox_presentation(corpus["a3"])
+        calls = count_calls(intlin, "column_hermite_normal_form", "_column_hermite",
+                            "divisibility_index")
+        result = lift_subtorus(p, iota([1, 0], [1, 2], [0, 1]))
+        assert p.q_matrix @ result.weights.transpose() == iota([1, 0], [1, 2], [0, 1])
+        assert calls == {"column_hermite_normal_form": 1, "_column_hermite": 1,
+                         "divisibility_index": 0}
+
+    def test_same_weights_as_solving_for_each_scaled_column(self, corpus, rng):
+        # the lcm-scaled back-substitution is the solution for d * iota_j
+        from coxtoric.intlin import divisibility_index, solve_integer
+        for name in ["quadric_cone", "p112", "a3", "bl0_a2"]:
+            p = cox_presentation(corpus[name])
+            n = p.delta.rank
+            for _ in range(5):
+                m = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(2)]
+                                         for _ in range(n)])
+                if m.rank() != 2:
+                    continue
+                result = lift_subtorus(p, m)
+                d = lcm(*(divisibility_index(p.q_matrix, c) for c in m.columns()))
+                assert result.degree == d, name
+                assert result.weights.entries == tuple(
+                    solve_integer(p.q_matrix, [d * x for x in c]) for c in m.columns()), name
 
     def test_projective_plane_degree_one(self, corpus):
         p = cox_presentation(corpus["p2"])
@@ -353,7 +391,8 @@ class TestLiftSubtorus:
                 if m.rank() != 1:
                     continue
                 result = lift_subtorus(p, m)
-                assert p.q_matrix @ result.weights.transpose() == m.scale(result.degree)
+                assert p.q_matrix.apply(result.weights.row(0)) == tuple(
+                    result.degree * x for x in m.column(0))
                 # no smaller degree admits an integral solution for the column
                 for smaller in range(1, result.degree):
                     target = [smaller * x for x in m.column(0)]

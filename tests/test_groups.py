@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxtoric import groups
+from coxtoric import groups, intlin
 from coxtoric.errors import HypothesisError, ShapeError
 from coxtoric.groups import (
     DiagonalizableSubgroup,
@@ -23,7 +23,13 @@ from coxtoric.groups import (
     is_effective,
     subgroup_from_weights,
 )
-from coxtoric.intlin import IntMatrix, SnfResult, vector_gcd
+from coxtoric.intlin import (
+    IntMatrix,
+    SnfResult,
+    lattice_canonical_form,
+    lattice_membership,
+    vector_gcd,
+)
 
 
 def weight(rows):
@@ -33,6 +39,13 @@ def weight(rows):
 
 def rank_one_subgroup(column):
     return DiagonalizableSubgroup(len(column), IntMatrix.from_columns([column], rows=len(column)))
+
+
+relation_matrices = st.integers(1, 4).flatmap(
+    lambda m: st.integers(0, 3).flatmap(
+        lambda k: st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                           min_size=m, max_size=m).map(
+            lambda rows: IntMatrix.from_rows(rows, cols=k))))
 
 
 class TestSubgroupFromWeights:
@@ -78,11 +91,11 @@ class TestClassifyQuotient:
         assert classify_quotient(rank_one_subgroup((-1, -2))) == (1, 2)
 
     def test_hypothesis_errors(self):
-        with pytest.raises(HypothesisError):
-            classify_quotient(rank_one_subgroup((2, 2)))  # disconnected
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError, match="not connected"):
+            classify_quotient(rank_one_subgroup((2, 2)))
+        with pytest.raises(HypothesisError, match="dimension 1, expected 2"):
             classify_quotient(DiagonalizableSubgroup(3, IntMatrix.from_columns(
-                [(1, 0, 0), (0, 1, 0)], rows=3)))  # wrong dimension
+                [(1, 0, 0), (0, 1, 0)], rows=3)))
 
     @given(st.lists(st.integers(-4, 4), min_size=1, max_size=5).filter(any))
     def test_monomial_iff_one_signed(self, a):
@@ -95,8 +108,45 @@ class TestClassifyQuotient:
             assert vector_gcd(result) == 1
             assert all(x >= 0 for x in result)
 
+    def test_dependent_relation_columns(self):
+        # a rank-one relation matrix with columns a and 2a has one generator
+        g = DiagonalizableSubgroup(2, IntMatrix.from_columns([(1, 2), (2, 4)], rows=2))
+        assert g.dimension == 1
+        assert classify_quotient(g) == (1, 2)
+        with pytest.raises(HypothesisError, match="dimension 1, expected 2"):
+            classify_quotient(DiagonalizableSubgroup(3, IntMatrix.from_columns(
+                [(1, 0, 0), (0, 2, 0), (1, 2, 0)], rows=3)))
+
+    @given(relation_matrices)
+    def test_agrees_with_the_cokernel_decomposition(self, relations):
+        # the verdicts of classifying through the Smith form of the relations
+        g = DiagonalizableSubgroup(relations.rows, relations)
+        dimension, torsion = decompose_subgroup(g)
+        assert g.dimension == dimension == relations.rows - relations.rank()
+        if dimension != relations.rows - 1:
+            with pytest.raises(HypothesisError, match=f"dimension {dimension},"):
+                classify_quotient(g)
+        elif torsion:
+            with pytest.raises(HypothesisError, match="not connected"):
+                classify_quotient(g)
+        else:
+            gen = lattice_canonical_form(relations).column(0)
+            one_signed = min(gen) >= 0 or max(gen) <= 0
+            result = classify_quotient(g)
+            assert result == (tuple(abs(x) for x in gen) if one_signed else None)
+
+    def test_takes_no_smith_form(self, count_calls):
+        calls = count_calls(intlin, "smith_normal_form")
+        g = DiagonalizableSubgroup(3, IntMatrix.from_columns([(1, 0, 0), (0, 1, 0)], rows=3))
+        with pytest.raises(HypothesisError, match="dimension 1, expected 2"):
+            classify_quotient(g)
+        assert classify_quotient(rank_one_subgroup((1, 2))) == (1, 2)
+        with pytest.raises(HypothesisError, match="not connected"):
+            classify_quotient(rank_one_subgroup((2, 4)))
+        assert calls == {"smith_normal_form": 0}
+
     def test_takes_no_bareiss_rank(self, monkeypatch):
-        # dimension and torsion both come from one cokernel decomposition
+        # dimension and connectedness both come from the canonical relations
         calls = []
         real = IntMatrix.rank
         monkeypatch.setattr(IntMatrix, "rank", lambda self: calls.append(self) or real(self))
@@ -155,6 +205,29 @@ class TestMonomialMatrix:
 
 
 class TestCommutesWithTorus:
+    @given(relation_matrices, st.data())
+    def test_verdicts_agree_with_the_given_relations(self, relations, data):
+        # both read the canonical relations, which span the same lattice
+        m = relations.rows
+        perm = tuple(data.draw(st.permutations(range(m))))
+        g = MonomialMatrix(perm, (0,) * m)
+        if data.draw(st.booleans()):
+            # add the permuted copies, so that the lattice is preserved
+            orbit, power = list(relations.columns()), g
+            for _ in range(g.order() - 1):
+                orbit += [tuple(c[j] for j in power._perm_inverse()) for c in relations.columns()]
+                power = power.compose(g)
+            relations = IntMatrix.from_columns(orbit, rows=m)
+        group = DiagonalizableSubgroup(m, relations)
+        permuted = IntMatrix.from_rows([relations.row(j) for j in g._perm_inverse()],
+                                       cols=relations.cols)
+        assert commutes_with_torus(g, group) == (
+            lattice_canonical_form(permuted) == lattice_canonical_form(relations))
+        comparisons = [[(k == i) - (k == pi) for k in range(m)]
+                       for i, pi in enumerate(perm) if pi != i]
+        assert centralizes_torus(g, group) == all(
+            lattice_membership(relations, chi) for chi in comparisons)
+
     def test_identity_always(self):
         g0 = rank_one_subgroup((1, 1))
         assert commutes_with_torus(MonomialMatrix.identity(2), g0)

@@ -21,6 +21,7 @@ from coxtoric.intlin import (
     saturation_basis,
     smith_normal_form,
     solve_integer,
+    solve_scaled,
 )
 from oracles import (
     brute_divisibility_index,
@@ -354,6 +355,49 @@ class TestMembershipAndSolve:
         s = solve_integer(a, b)
         assert s is not None
         assert a.apply(s) == b
+
+    @given(matrices, st.data())
+    def test_solve_scaled_takes_the_lcm_of_the_indices(self, a, data):
+        # a right-hand side is either arbitrary or in the column lattice
+        vectors = st.lists(st.integers(-8, 8), min_size=a.rows, max_size=a.rows)
+        images = st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols).map(a.apply)
+        rhs = data.draw(st.lists(st.one_of(vectors, images), min_size=1, max_size=3))
+        indices = [divisibility_index(a, b) for b in rhs]
+        solved = solve_scaled(a, rhs)
+        if None in indices:
+            assert solved is None
+            return
+        d, xs = solved
+        assert d == lcm(*indices)
+        assert [a.apply(x) for x in xs] == [tuple(d * t for t in b) for b in rhs]
+        if d == 1:
+            assert xs == [solve_integer(a, b) for b in rhs]
+        else:
+            assert any(solve_integer(a, b) is None for b in rhs)
+
+    def test_solve_scaled_examples(self):
+        # columns (1, 0) and (1, 2): (0, 1) has index 2 and (3, 2) is in the
+        # lattice, so d = 2 for both
+        L = M([[1, 1], [0, 2]])
+        d, xs = solve_scaled(L, [(0, 1), (3, 2)])
+        assert d == 2
+        assert [L.apply(x) for x in xs] == [(0, 2), (6, 4)]
+        assert solve_scaled(L, []) == (1, [])
+        assert solve_scaled(M([[2], [0]]), [(2, 0), (1, 1)]) is None
+
+    def test_wrong_hermite_transform_fails_substitution(self, monkeypatch):
+        # H = A * V must hold for the back-substitution to solve A * x = d * b
+        real = intlin.column_hermite_normal_form
+
+        def identity_transform(a):
+            h, _, pivots = real(a)
+            return h, IntMatrix.identity(a.cols), pivots
+
+        monkeypatch.setattr(intlin, "column_hermite_normal_form", identity_transform)
+        with pytest.raises(ArithmeticError, match="fails substitution"):
+            solve_scaled(M([[2, 1]]), [(1,)])
+        with pytest.raises(ArithmeticError, match="fails substitution"):
+            solve_integer(M([[2, 1]]), (1,))
 
     @given(matrices, st.data())
     def test_membership_routes_agree(self, a, data):

@@ -39,3 +39,14 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line} {name}" for line, name in _imported_names(tree)
                    if name not in used]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # helpers such as intlin's _back_substitute and _column_hermite stay
+    # behind their module's public functions
+    files = sorted(Path(coxtoric.__file__).parent.glob("*.py"))
+    private = [f"{path.name}:{node.lineno} {alias.name}" for path in files
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
