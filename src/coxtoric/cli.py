@@ -18,20 +18,19 @@ import sys
 from fractions import Fraction
 
 from . import cox as cox_mod
-from .errors import HypothesisError, ToricError, UnsupportedShapeError
+from .errors import HypothesisError, ToricError
 from .fans import Fan, fan_from_dict
 from .groups import (
     MonomialMatrix,
     WeightAction,
     classify_quotient,
     commutes_with_torus,
-    decompose_subgroup,
     hyperplane_permutation_report,
     is_effective,
     subgroup_from_weights,
 )
 from .intlin import IntMatrix, smith_normal_form
-from .pipeline import NOT_CERTIFIED, theorem_pipeline
+from .pipeline import convex_support_verdict, presentation_summary, theorem_pipeline
 
 
 class InputError(Exception):
@@ -39,9 +38,16 @@ class InputError(Exception):
 
 
 def _load_json(path: str):
+    def parse_int(literal: str) -> int:
+        # Python's default digit cap, which `main` lifts: parsing is quadratic
+        digits = len(literal.lstrip("-"))
+        if digits > 4300:
+            raise InputError(f"{path}: an integer has {digits} digits, more than 4300")
+        return int(literal)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
@@ -96,9 +102,9 @@ def _parse_monomial_matrix(data) -> MonomialMatrix:
     if not isinstance(perm, list) or not all(type(i) is int for i in perm):
         raise InputError("perm must be a list of integers")
     scalars = data["scalars"]
-    # only p/q: Fraction also takes exponents, and "1e-999999999" has 10^9 digits
+    # only p/q, each of at most 4300 digits like an integer literal: Fraction takes "1e-999999999"
     if not isinstance(scalars, list) or not all(
-            type(s) is int or isinstance(s, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s)
+            type(s) is int or isinstance(s, str) and re.fullmatch(r"[+-]?[0-9]{1,4300}(/[0-9]{1,4300})?", s)
             for s in scalars):
         raise InputError('scalars must be a list of strings "p/q" or integers')
     try:
@@ -133,14 +139,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_properties(args) -> int:
     fan = _load_fan(args.fan)
-    try:
-        convex = fan.has_convex_support()
-    except UnsupportedShapeError:
-        convex = NOT_CERTIFIED
     _emit({
         "nondegenerate": fan.is_nondegenerate(),
         "complete": fan.is_complete(),
-        "convex_support": convex,
+        "convex_support": convex_support_verdict(fan),
         "smooth": cox_mod.variety_is_smooth(fan),
     }, args.json)
     return 0
@@ -149,17 +151,14 @@ def _cmd_properties(args) -> int:
 def _cmd_cox(args) -> int:
     fan = _load_fan(args.fan)
     p = cox_mod.cox_presentation(fan)
-    # H's relation matrix is Q^T: its decomposition is also the class group
-    # of a nondegenerate fan, and rank Q = m - its torus rank
-    torus_rank, orders = decompose_subgroup(p.kernel_group)
+    _, subgroup, class_group = presentation_summary(p)
     codim = cox_mod.complement_codim(p)
     _emit({
         "m": p.num_coordinates,
         "q_matrix": _matrix_rows(p.q_matrix),
         "sigma_max_cones": [list(s) for s in p.sigma],
-        "subgroup": {"torus_rank": torus_rank, "cyclic_orders": list(orders)},
-        "class_group": {"free": torus_rank, "torsion": list(orders)}
-        if p.num_coordinates - torus_rank == fan.rank else None,
+        "subgroup": subgroup,
+        "class_group": class_group,
         "complement_codim": codim,
         "complement_empty": codim == p.num_coordinates + 1,
     }, args.json)
@@ -276,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # integers are read and written exactly, however long: lift the cap that
+    # derived integers are written exactly, however long: lift the cap that
     # Python 3.10.7+ puts on int <-> str conversion (0 = none) for this request
     previous_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if previous_limit:

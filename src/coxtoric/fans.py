@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 from .cones import Cone, cone_from_rays, dual_constraints, zero_cone
 from .errors import FanValidationError, ShapeError, UnsupportedShapeError
-from .intlin import IntMatrix, Vector, dot, primitive_vector, saturation_basis, solve_integer
+from .intlin import IntMatrix, Vector, dot, primitive_vector, saturation_basis, solve_scaled
 
 
 @dataclass(frozen=True)
@@ -150,11 +150,10 @@ class Fan:
             # coordinates on the saturated span are a lattice isomorphism
             # onto Z^span_dim, so the image of this validated fan is a fan
             basis = saturation_basis(ray_matrix)
-            coords = {r: solve_integer(basis, r) for r in self.rays}
-            for r, c in coords.items():
-                if c is None:
-                    raise ArithmeticError(
-                        f"ray {r} has no coordinates in the saturated span of the rays")
+            solved = solve_scaled(basis, self.rays)
+            if solved is None or solved[0] != 1:
+                raise ArithmeticError("the rays have no coordinates in their saturated span")
+            coords = dict(zip(self.rays, solved[1]))
             reduced = Fan(span_dim,
                           tuple(cone_from_rays(span_dim, [coords[r] for r in mc.rays])
                                 for mc in self.max_cones),
@@ -255,12 +254,7 @@ def fan_from_max_cones(rank: int, cones: Sequence[Cone]) -> Fan:
             if len(tau_zero) == len(cones[j].rays):
                 raise FanValidationError(f"maximal cone {j} is contained in maximal cone {i}")
 
-    rays: list[Vector] = []
-    for c in cones:
-        for r in c.rays:
-            if r not in rays:
-                rays.append(r)
-    return Fan(rank, cones, tuple(rays))
+    return Fan(rank, cones, tuple(dict.fromkeys(r for c in cones for r in c.rays)))
 
 
 def is_map_of_fans(matrix: IntMatrix, source: Fan, target: Fan) -> bool:

@@ -154,10 +154,10 @@ def classify_quotient(group: DiagonalizableSubgroup) -> Vector | None:
     The invariant monomials form the rank-one lattice of characters
     vanishing on the subgroup, read off `canonical_relations` as one
     generator a; the subgroup is connected iff a is primitive, since
-    Z^m / Z*a has torsion Z/gcd(a).  If a (up to sign) is componentwise
-    nonnegative, the quotient map is the single monomial z^a: returns a.
-    Otherwise there are no nonconstant invariant monomials with
-    nonnegative exponents and the quotient is a point: returns None.
+    Z^m / Z*a has torsion Z/gcd(a).  a is column 0 of a Hermite form, led by
+    its positive pivot, so -a is never nonnegative.  If a is, the quotient
+    map is the single monomial z^a: returns a.  Otherwise the quotient is a
+    point (no nonconstant invariant monomial is nonnegative): returns None.
     """
     m = group.ambient
     if group.dimension != m - 1:
@@ -166,11 +166,7 @@ def classify_quotient(group: DiagonalizableSubgroup) -> Vector | None:
     gen = group.canonical_relations.column(0)
     if vector_gcd(gen) != 1:
         raise HypothesisError("subgroup is not connected")
-    if all(x >= 0 for x in gen):
-        return gen
-    if all(x <= 0 for x in gen):
-        return tuple(-x for x in gen)
-    return None
+    return gen if all(x >= 0 for x in gen) else None
 
 
 def contains_coordinate_subtorus(group: DiagonalizableSubgroup, i: int) -> bool:
@@ -239,7 +235,8 @@ def character_root_isogeny(xi: Sequence[int], d: int) -> tuple[IntMatrix, Vector
     Construction: a unimodular U sends xi to (g, 0, ..., 0) with g = gcd(xi);
     kappa^T = diag(d / gcd(d, g), 1, ..., 1) * U then satisfies the identity
     with xi0 integral, and |det kappa| = d / gcd(d, g), which is minimal.
-    For xi = 0 the identity matrix works with xi0 = 0.
+    U is the row transform of xi's Smith form: one column takes no column
+    operation, so V = [1].  For xi = 0 the identity matrix works with xi0 = 0.
     """
     if d < 1:
         raise ValueError(f"isogeny exponent d must be >= 1, got {d}")
@@ -250,11 +247,7 @@ def character_root_isogeny(xi: Sequence[int], d: int) -> tuple[IntMatrix, Vector
     g = vector_gcd(xi)
     if g == 0:
         return IntMatrix.identity(r), (0,) * r
-    snf = smith_normal_form(IntMatrix.from_columns([xi], rows=r))
-    u = snf.U
-    if snf.V.entries[0][0] == -1:
-        u = IntMatrix.from_rows(
-            [tuple(-x for x in u.row(0))] + [u.row(i) for i in range(1, r)])
+    u = smith_normal_form(IntMatrix.from_columns([xi], rows=r)).U
     if u.apply(xi) != (g,) + (0,) * (r - 1):
         raise ArithmeticError(f"U = {u} does not send {xi} to ({g}, 0, ..., 0)")
     factor = d // gcd(d, g)

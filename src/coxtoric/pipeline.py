@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cox import cox_presentation
+from .cox import CoxPresentation, cox_presentation
 from .errors import ShapeError, UnsupportedShapeError
 from .fans import Fan
 from .groups import WeightAction, decompose_subgroup, is_effective
@@ -27,6 +27,25 @@ INEFFECTIVE_ACTION = "ineffective-action"
 WRONG_DIMENSION = "wrong-dimension"
 
 NOT_CERTIFIED = "not-certified"
+
+
+def convex_support_verdict(fan: Fan) -> bool | str:
+    """`Fan.has_convex_support`, or NOT_CERTIFIED where its criterion does not apply."""
+    try:
+        return fan.has_convex_support()
+    except UnsupportedShapeError:
+        return NOT_CERTIFIED
+
+
+def presentation_summary(p: CoxPresentation) -> tuple[int, dict, dict | None]:
+    """rank Q, and the `subgroup` and `class_group` entries of a report.
+    H's relation matrix is Q^T: its decomposition is the class group
+    Z^m / im(Q^T) of a nondegenerate fan, and rank Q = m - its torus rank."""
+    torus_rank, orders = decompose_subgroup(p.kernel_group)
+    rank_q = p.num_coordinates - torus_rank
+    subgroup = {"torus_rank": torus_rank, "cyclic_orders": list(orders)}
+    class_group = {"free": torus_rank, "torsion": list(orders)}
+    return rank_q, subgroup, class_group if rank_q == p.delta.rank else None
 
 
 @dataclass(frozen=True)
@@ -67,23 +86,11 @@ def theorem_pipeline(delta: Fan, action: WeightAction) -> PipelineReport:
             f"weight matrix has {action.weights.cols} columns, fan has {m} rays")
     n, r = delta.rank, action.torus_rank
 
-    try:
-        holes = delta.has_convex_support()
-    except UnsupportedShapeError:
-        holes = NOT_CERTIFIED
-
+    holes = convex_support_verdict(delta)
     p = cox_presentation(delta)
-    # H's relation matrix is Q^T: its decomposition is the class group
-    # Z^m / im(Q^T) of a nondegenerate fan, and rank Q = m - its torus rank
-    torus_rank, orders = decompose_subgroup(p.kernel_group)
-    rank_q = m - torus_rank
-    nondegenerate = rank_q == n
-    summary = {
-        "m": m,
-        "class_group": {"free": torus_rank, "torsion": list(orders)}
-        if nondegenerate else None,
-        "subgroup": {"torus_rank": torus_rank, "cyclic_orders": list(orders)},
-    }
+    rank_q, subgroup, class_group = presentation_summary(p)
+    nondegenerate = class_group is not None
+    summary = {"m": m, "class_group": class_group, "subgroup": subgroup}
     effective = is_effective(action)
 
     # ker W meets span(Q^T) in {Q^T y : (Q W^T)^T y = 0}, and ker Q^T lies in

@@ -251,7 +251,8 @@ class TestCliCommands:
         assert entry["fixes_zero_support"] is True
         assert entry["permutes_positive_support"] is True
 
-    @pytest.mark.parametrize("scalar", ["1/2", "-1/3", "+2/4", "0", 0, -3])
+    @pytest.mark.parametrize("scalar", ["1/2", "-1/3", "+2/4", "0", 0, -3,
+                                        pytest.param("1/" + "7" * 4300, id="1/<4300 digits>")])
     def test_diag_accepts_integers_and_fractions(self, scalar, tmp_path, capsys):
         path = write(tmp_path, "w.json", {
             "rank": 1, "weights": [[1, -1]],
@@ -260,7 +261,8 @@ class TestCliCommands:
         assert json.loads(capsys.readouterr().out)["monomial_matrices"][0]["commutes"]
 
     @pytest.mark.parametrize("scalar", ["1e-4000000", "0.5", "1/2.0", " 1/2", "1 / 2",
-                                        "1_0", "", "/2", "1/"])
+                                        "1_0", "", "/2", "1/",
+                                        pytest.param("1/" + "7" * 300000, id="1/<300000 digits>")])
     def test_diag_scalar_outside_p_over_q_exits_2_at_once(self, scalar, tmp_path, capsys):
         # Fraction would take "1e-4000000" too, as an exact 4,000,000-digit
         # denominator, in seconds
@@ -318,12 +320,25 @@ class TestCliCommands:
         U, D, V = (IntMatrix.from_rows(data[k]) for k in "UDV")
         assert U @ IntMatrix.from_rows(rows) @ V == D
         assert max(abs(x) for row in U.entries + V.entries for x in row) > 10 ** 4300
-        # a 5000-digit ray is read whole, and rejected with a message
+        # an input literal past that limit stops at parse time, with a message
         path = write(tmp_path, "fan.json",
                      '{"rank": 1, "rays": [[' + "7" * 5000 + ']], "max_cones": [[0]]}')
         assert main(["validate", path]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert sys.get_int_max_str_digits() == limit
+
+    def test_long_integer_literal_exits_2_at_parse_time(self, fan_files, tmp_path, capsys):
+        # decimal parsing is quadratic in the digits: 100,000 of them are
+        # refused by their count, before any is converted
+        w = write(tmp_path, "w.json", '{"rank": 1, "weights": [[-' + "7" * 100000 + ', 0]]}')
+        limit = sys.get_int_max_str_digits()
+        assert main(["pipeline", fan_files["a2"], "--weights", w]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {w}: an integer has 100000 digits, more than 4300\n")
+        assert sys.get_int_max_str_digits() == limit
+        # 4300 digits are still read
+        w = write(tmp_path, "w.json", '{"rank": 1, "weights": [[' + "7" * 4300 + ', 0]]}')
+        assert main(["pipeline", fan_files["a2"], "--weights", w, "--json"]) == 1
 
     def test_pipeline_success_and_failure_exit_codes(self, fan_files, tmp_path, capsys):
         w = write(tmp_path, "w.json", {"rank": 1, "weights": [[1, 0, 0]]})
@@ -370,6 +385,17 @@ class TestCliErrors:
         w = write(tmp_path, "w.json", {"rank": 2, "weights": [[1, 0]]})
         assert main(["pipeline", fan_files["a2"], "--weights", w]) == 2
 
+    def test_weights_with_a_column_per_ray_too_many_exits_2(self, fan_files, tmp_path, capsys):
+        w = write(tmp_path, "w.json", {"rank": 1, "weights": [[1, 0, 0]]})
+        assert main(["pipeline", fan_files["a2"], "--weights", w]) == 2
+        assert capsys.readouterr().err == "error: weight matrix has 3 columns, fan has 2 rays\n"
+
+    def test_lift_iota_off_the_span_of_the_rays_exits_2(self, tmp_path, capsys):
+        fan = write(tmp_path, "ray.json", {"rank": 2, "rays": [[1, 0]], "max_cones": [[0]]})
+        iota = write(tmp_path, "iota.json", [[0], [1]])
+        assert main(["lift", fan, "--iota", iota]) == 2
+        assert "iota leaves the rational span" in capsys.readouterr().err
+
     def test_line_cone_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "line.json", {
             "rank": 2, "rays": [[1, 0], [-1, 0]], "max_cones": [[0, 1]]})
@@ -385,23 +411,45 @@ class TestCliErrors:
         assert main(["lift", fan_files["p2"], "--iota", iota]) == 2
         assert capsys.readouterr().err == "error: iota must have 2 rows\n"
 
-    @pytest.mark.parametrize("command, payload", [
-        ("validate", {"rank": 2, "rays": 5, "max_cones": [[0]]}),
-        ("validate", {"rank": 2, "rays": [[1, 0]], "max_cones": 3}),
-        ("validate", {"rank": True, "rays": [[1]], "max_cones": [[0]]}),
-        ("diag", {"rank": 1, "weights": [[1, -1]], "monomial_matrices": 3}),
+    MALFORMED = [
+        ("validate", {"rank": 2, "rays": 5, "max_cones": [[0]]},
+         "rays and max_cones must be lists"),
+        ("validate", {"rank": 2, "rays": [[1, 0]], "max_cones": 3},
+         "rays and max_cones must be lists"),
+        ("validate", {"rank": True, "rays": [[1]], "max_cones": [[0]]},
+         "rank must be a nonnegative integer"),
+        ("diag", {"rank": 1, "weights": [[1, -1]], "monomial_matrices": 3},
+         "monomial_matrices must be a list"),
         ("diag", {"rank": 1, "weights": [[1, -1]],
-                  "monomial_matrices": [{"perm": [1, 0], "scalars": "12"}]}),
+                  "monomial_matrices": [{"perm": [1, 0], "scalars": "12"}]},
+         "scalars must be a list of strings"),
         ("diag", {"rank": 1, "weights": [[1, -1]],
-                  "monomial_matrices": [{"perm": [1, 0], "scalars": [0.5, True]}]}),
-        ("validate", {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 0, 1]]}),
-        ("diag", {"rank": 0, "weights": []}),
-        ("diag", {"rank": 1, "weights": [[]]}),
-    ])
-    def test_malformed_schema_exits_2(self, command, payload, tmp_path, capsys):
+                  "monomial_matrices": [{"perm": [1, 0], "scalars": [0.5, True]}]},
+         "scalars must be a list of strings"),
+        ("validate", {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 0, 1]]},
+         "max_cones[0] lists a ray index more than once"),
+        ("diag", {"rank": 0, "weights": []}, "weights matrix has no columns"),
+        ("diag", {"rank": 1, "weights": [[]]}, "weights matrix has no columns"),
+        ("diag", {"rank": 2, "weights": [[1, 0], [1]]}, "weights has rows of unequal length"),
+        ("diag", {"rank": -1, "weights": []}, "weights rank must be a nonnegative integer"),
+        ("diag", {"rank": 1, "weights": [[1, -1]], "monomial_matrices": [3]},
+         'monomial matrix must be {"perm": [..], "scalars": ["p/q", ..]}'),
+        ("diag", {"rank": 1, "weights": [[1, -1]],
+                  "monomial_matrices": [{"perm": [0.5, 1], "scalars": [0, 0]}]},
+         "perm must be a list of integers"),
+        ("diag", {"rank": 1, "weights": [[1, -1]],
+                  "monomial_matrices": [{"perm": [0, 0], "scalars": [0, 0]}]},
+         "(0, 0) is not a permutation of 0..1"),
+        ("validate", {"rank": 0, "rays": [[]], "max_cones": [[0]]}, "ray 0 is zero"),
+    ]
+
+    @pytest.mark.parametrize("command, payload, message", MALFORMED,
+                             ids=[f"{c}-payload{i}" for i, (c, _, _) in enumerate(MALFORMED)])
+    def test_malformed_schema_exits_2(self, command, payload, message, tmp_path, capsys):
         path = write(tmp_path, "bad.json", payload)
         assert main([command, path]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
     def test_unreadable_input_exits_2(self, kind, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxtoric import cones, fans
+from coxtoric import cones, fans, intlin
 from coxtoric.cones import Cone, cone_from_rays, zero_cone
 from coxtoric.corpus import affine_space, corpus_fans
 from coxtoric.errors import (
@@ -411,6 +411,27 @@ class TestConvexSupport:
         verdicts = [f.has_convex_support() for f in fan_list]
         assert verdicts == [True] * (len(fan_list) - 1) + [False]
         assert calls == {"dual_constraints": 0}
+
+    def test_span_coordinates_take_one_hermite_form(self, count_calls):
+        # four rays in the plane z = 0 are solved against the saturated span
+        # with one Hermite form per analysis, not one per ray
+        fan = fan_from_max_cones(3, [cone_from_rays(3, [(1, 0, 0), (1, 1, 0)]),
+                                     cone_from_rays(3, [(1, 1, 0), (0, 1, 0)]),
+                                     cone_from_rays(3, [(0, 1, 0), (-1, 0, 0)])])
+        calls = count_calls(intlin, "column_hermite_normal_form")
+        assert fan.has_convex_support()
+        assert calls == {"column_hermite_normal_form": 1}
+        assert fan.convex_support_witness() is None
+        assert calls == {"column_hermite_normal_form": 2}
+
+    def test_span_basis_that_misses_a_ray_raises_arithmetic_error(self, monkeypatch):
+        # twice the saturated basis holds only twice each ray
+        real = fans.saturation_basis
+        monkeypatch.setattr(fans, "saturation_basis", lambda a: IntMatrix.from_rows(
+            [[2 * x for x in row] for row in real(a).entries]))
+        fan = fan_from_max_cones(2, [cone_from_rays(2, [(1, 1)])])
+        with pytest.raises(ArithmeticError, match="no coordinates in their saturated span"):
+            fan.has_convex_support()
 
     def test_witness_search_gives_up_with_arithmetic_error(self, monkeypatch):
         fan = three_quadrants()

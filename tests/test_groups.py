@@ -28,6 +28,7 @@ from coxtoric.intlin import (
     SnfResult,
     lattice_canonical_form,
     lattice_membership,
+    smith_normal_form,
     vector_gcd,
 )
 
@@ -131,6 +132,8 @@ class TestClassifyQuotient:
                 classify_quotient(g)
         else:
             gen = lattice_canonical_form(relations).column(0)
+            # a Hermite column is led by its positive pivot
+            assert next(x for x in gen if x) > 0
             one_signed = min(gen) >= 0 or max(gen) <= 0
             result = classify_quotient(g)
             assert result == (tuple(abs(x) for x in gen) if one_signed else None)
@@ -340,6 +343,14 @@ class TestCharacterRootIsogeny:
         monkeypatch.setattr(groups, "gcd", lambda a, b: a)
         with pytest.raises(ArithmeticError, match="not divisible by 4"):
             character_root_isogeny((2,), 4)
+
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=5).filter(any))
+    def test_smith_form_of_a_column_takes_no_column_operation(self, xi):
+        # the isogeny reads U alone: V = [1] and U * xi = (gcd(xi), 0, ..., 0)
+        snf = smith_normal_form(IntMatrix.from_columns([xi], rows=len(xi)))
+        assert snf.V == IntMatrix.identity(1)
+        assert snf.D.entries[0][0] == vector_gcd(xi)
+        assert snf.U.apply(xi) == (vector_gcd(xi),) + (0,) * (len(xi) - 1)
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=4), st.integers(1, 12))
     def test_identity_and_determinant(self, xi, d):
