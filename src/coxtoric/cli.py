@@ -244,37 +244,45 @@ def _cmd_snf(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (handler, help, positional argument[, required option, its help])
+_SUBCOMMANDS = {
+    "validate": (_cmd_validate, "check a fan file against the fan axioms", "fan"),
+    "properties": (_cmd_properties, "nondegenerate / complete / convex-support / smooth", "fan"),
+    "cox": (_cmd_cox, "quotient presentation data", "fan"),
+    "classgroup": (_cmd_classgroup, "grading group and ray degrees", "fan"),
+    "lift": (_cmd_lift, "minimal lifting degree and weights for a subtorus", "fan",
+             "--iota", "cocharacter matrix JSON"),
+    "diag": (_cmd_diag, "classify a diagonal action's quotient", "weights"),
+    "pipeline": (_cmd_pipeline, "full codimension-one embedding pipeline", "fan",
+                 "--weights", "weight action JSON"),
+    "snf": (_cmd_snf, "Smith normal form of an integer matrix", "matrix"),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with `command`'s alone when it
+    names one; the usage line lists every subcommand either way."""
     parser = argparse.ArgumentParser(
         prog="coxtoric",
         description="Exact quotient presentations of toric varieties from fan data")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    one = command in _SUBCOMMANDS
+    # the full parser keeps no metavar: its errors name the argument "command"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_SUBCOMMANDS) + "}" if one else None)
+    for name in [command] if one else _SUBCOMMANDS:
+        func, help_text, positional, *option = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.add_argument(positional)
+        if option:
+            p.add_argument(option[0], required=True, help=option[1])
         p.set_defaults(func=func)
-        return p
-
-    add("validate", _cmd_validate, "check a fan file against the fan axioms").add_argument("fan")
-    add("properties", _cmd_properties,
-        "nondegenerate / complete / convex-support / smooth").add_argument("fan")
-    add("cox", _cmd_cox, "quotient presentation data").add_argument("fan")
-    add("classgroup", _cmd_classgroup, "grading group and ray degrees").add_argument("fan")
-    p_lift = add("lift", _cmd_lift, "minimal lifting degree and weights for a subtorus")
-    p_lift.add_argument("fan")
-    p_lift.add_argument("--iota", required=True, help="cocharacter matrix JSON")
-    p_diag = add("diag", _cmd_diag, "classify a diagonal action's quotient")
-    p_diag.add_argument("weights")
-    p_pipe = add("pipeline", _cmd_pipeline, "full codimension-one embedding pipeline")
-    p_pipe.add_argument("fan")
-    p_pipe.add_argument("--weights", required=True, help="weight action JSON")
-    add("snf", _cmd_snf, "Smith normal form of an integer matrix").add_argument("matrix")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     # derived integers are written exactly, however long: lift the cap that
     # Python 3.10.7+ puts on int <-> str conversion (0 = none) for this request
     previous_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -2,17 +2,20 @@
 
 A fan is a finite collection of strongly convex cones closed under taking
 faces, in which any two cones intersect in a common face.  Construction
-validates the axioms on the given maximal cones by the separation lemma
-(Fulton, *Introduction to Toric Varieties*, 1.2; Cox-Little-Schenck, Lemma
-1.2.13): sigma and tau meet in a common face iff some covector u, >= 0 on
-sigma and <= 0 on tau, vanishes on the same rays F of both, and then
-sigma meets tau in cone(F).  Every cone is a face of a maximal one, so
-membership, maps of fans and walls are decided on the maximal cones.  The
-face closure `all_cones` is held combinatorially, as ray-index tuples read
-off each maximal cone's facet-ray incidence (`Cone.faces`), and is built on
-first read.  Walls and boundary facets are read off the same incidence; in
-a validated fan a cone whose rays are all rays of a maximal cone is a face
-of it, so wall incidence is ray-set inclusion.  A fan whose rays span a
+first tries a local certificate, the pseudo-manifold characterization of
+subdivisions (De Loera-Rambau-Santos, *Triangulations*, ch. 4): facets
+shared by two cones on opposite sides or on a supporting hyperplane of
+cone(all rays), and one point covered once.  Other collections are checked
+pair by pair by the separation lemma (Fulton, *Introduction to Toric
+Varieties*, 1.2; Cox-Little-Schenck, Lemma 1.2.13): sigma and tau meet in a
+common face iff some covector u, >= 0 on sigma and <= 0 on tau, vanishes on
+the same rays F of both, and then sigma meets tau in cone(F).  Every cone
+is a face of a maximal one, so membership, maps of fans and walls are
+decided on the maximal cones.  The face closure `all_cones` is held
+combinatorially, as ray-index tuples read off each maximal cone's
+facet-ray incidence (`Cone.faces`), and is built on first read.  Walls and
+boundary facets are read off one map from facet ray sets to the maximal
+cones having them (`_facet_incidence`).  A fan whose rays span a
 proper subspace is carried onto the span as is, without validating again.
 Convex support is decided wall by wall: a boundary wall's own facet normal
 must be >= 0 on every ray, so the hull of the rays is never computed.
@@ -89,22 +92,9 @@ class Fan:
 
     def _wall_incidence(self) -> Iterator[tuple[tuple[Vector, ...], tuple[int, ...]]]:
         """The rays of each wall, in the order of `walls`, with the indices
-        of the maximal cones having it as a face: those whose rays include
-        the wall's rays."""
-        ray_sets = [frozenset(mc.rays) for mc in self.max_cones]
-        seen = set()
-        for mc in self._covering_cones():
-            if mc.dim == self.rank - 1:
-                candidates = [mc.rays]
-            elif mc.dim == self.rank:
-                candidates = mc.facet_rays
-            else:
-                continue
-            for rays in candidates:
-                key = frozenset(rays)
-                if key not in seen:
-                    seen.add(key)
-                    yield rays, tuple(i for i, s in enumerate(ray_sets) if key <= s)
+        of the maximal cones having it as a face (the zero cone has none)."""
+        for entries in _facet_incidence(self.rank, self._covering_cones()).values():
+            yield entries[0][1], tuple(i for i, _, _ in entries) if self.max_cones else ()
 
     def is_complete(self) -> bool:
         """Whether the fan's support is the whole space.
@@ -167,16 +157,8 @@ class Fan:
             raise UnsupportedShapeError(
                 "support is not pure full-dimensional; convexity not certified")
 
-        for rays, incident in self._wall_incidence():
-            if len(incident) != 1:
-                continue
-            sigma = self.max_cones[incident[0]]
-            u = next(u for u, f in zip(sigma.facet_normals, sigma.facet_rays)
-                     if set(f) == set(rays))
-            below = next((r for r in self.rays if dot(u, r) < 0), None)
-            if below is not None:
-                return False, self._boundary_witness(rays, below)
-        return True, None
+        breach = _boundary_breach(_facet_incidence(self.rank, self.max_cones), self.rays)
+        return breach is None, None if breach is None else self._boundary_witness(*breach)
 
     def _boundary_witness(self, wall_rays, below: Vector) -> tuple[Fraction, ...]:
         """A point of cone(all rays) outside the support: x0 + below/2^j for
@@ -191,6 +173,44 @@ class Fan:
                 return p
             k *= 2
         raise ArithmeticError("no witness found; convex-support criterion inconsistent")
+
+
+def _facet_incidence(rank: int, cones: Sequence[Cone]) -> dict:
+    """Each wall of the cones, keyed by its ray set in order of first
+    appearance, with (index, rays, normal) of every cone having it as a
+    facet; a cone of dimension rank-1 is its own wall, with normal None."""
+    walls = {}
+    for i, c in enumerate(cones):
+        facets = (zip(c.facet_rays, c.facet_normals) if c.dim == rank
+                  else [(c.rays, None)] if c.dim == rank - 1 else ())
+        for rays, u in facets:
+            walls.setdefault(frozenset(rays), []).append((i, rays, u))
+    return walls
+
+
+def _boundary_breach(walls: dict, rays) -> tuple | None:
+    """(its rays, the ray) for the first wall of `_facet_incidence` with one
+    cone whose normal is negative on a ray; None iff each lies in a facet of cone(rays)."""
+    return next(((e[0][1], r) for e in walls.values() if len(e) == 1
+                 for r in rays if dot(e[0][2], r) < 0), None)
+
+
+def _locally_certified(rank: int, cones: Sequence[Cone]) -> bool:
+    """Whether the cones are full-dimensional, every facet is shared by two
+    cones with opposite normals or has a normal >= 0 on every ray, and the
+    sum of the rays of cone 0 lies in no other cone.  The covering number
+    is then 1 off codimension 2 inside cone(all rays), so the cones form a
+    fan with that convex support."""
+    if not cones or any(c.dim != rank for c in cones):
+        return False
+    walls = _facet_incidence(rank, cones)
+    if any(len(e) > 2 or len(e) == 2 and e[0][2] != tuple(-x for x in e[1][2])
+           for e in walls.values()):
+        return False
+    if _boundary_breach(walls, {r for c in cones for r in c.rays}) is not None:
+        return False
+    point = tuple(sum(col) for col in zip(*cones[0].rays))
+    return not any(c.contains_point(point) for c in cones[1:])
 
 
 def _cut_out(u: Vector, sigma: Cone, tau: Cone):
@@ -231,28 +251,30 @@ def _separation(rank: int, sigma: Cone, tau: Cone):
 def fan_from_max_cones(rank: int, cones: Sequence[Cone]) -> Fan:
     """Validate the fan axioms on the maximal cones.
 
-    Each pair (sigma, tau) is decided by one separating covector u, >= 0 on
-    sigma and <= 0 on tau (see `_separation`): they meet in a common face
-    iff u vanishes on the same rays F of both.  Raises FanValidationError
-    naming the offending pair when it does not (overlap, with u and the two
-    ray sets as evidence) and when F is all the rays of one of the cones
-    (containment).
+    A collection that `_locally_certified` accepts is a fan with convex
+    support, and no pair is checked.  Otherwise each pair (sigma, tau) is
+    decided by one separating covector u, >= 0 on sigma and <= 0 on tau
+    (see `_separation`): they meet in a common face iff u vanishes on the
+    same rays F of both.  Raises FanValidationError naming the offending
+    pair when it does not (overlap, with u and the two ray sets as
+    evidence) and when F is all the rays of one of the cones (containment).
     """
     cones = tuple(cones)
     for c in cones:
         if c.ambient_rank != rank:
             raise ShapeError(f"cone of ambient rank {c.ambient_rank} in a rank {rank} fan")
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            u, sigma_zero, tau_zero = _separation(rank, cones[i], cones[j])
-            if set(sigma_zero) != set(tau_zero):
-                raise FanValidationError(
-                    f"cones {i} and {j} overlap: u = {u} cuts out rays {sigma_zero} "
-                    f"of cone {i} but rays {tau_zero} of cone {j}")
-            if len(sigma_zero) == len(cones[i].rays):
-                raise FanValidationError(f"maximal cone {i} is contained in maximal cone {j}")
-            if len(tau_zero) == len(cones[j].rays):
-                raise FanValidationError(f"maximal cone {j} is contained in maximal cone {i}")
+    if not _locally_certified(rank, cones):
+        for i in range(len(cones)):
+            for j in range(i + 1, len(cones)):
+                u, sigma_zero, tau_zero = _separation(rank, cones[i], cones[j])
+                if set(sigma_zero) != set(tau_zero):
+                    raise FanValidationError(
+                        f"cones {i} and {j} overlap: u = {u} cuts out rays {sigma_zero} "
+                        f"of cone {i} but rays {tau_zero} of cone {j}")
+                if len(sigma_zero) == len(cones[i].rays):
+                    raise FanValidationError(f"maximal cone {i} is contained in maximal cone {j}")
+                if len(tau_zero) == len(cones[j].rays):
+                    raise FanValidationError(f"maximal cone {j} is contained in maximal cone {i}")
 
     return Fan(rank, cones, tuple(dict.fromkeys(r for c in cones for r in c.rays)))
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxtoric.cli import main
+from coxtoric.cli import build_parser, main
 from coxtoric.cones import cone_from_rays
 from coxtoric.corpus import affine_space, corpus_fans
 from coxtoric.fans import fan_from_max_cones, fan_to_dict
@@ -485,6 +486,56 @@ class TestDeterminism:
             first = capsys.readouterr().out
             assert main(cmd) == 0
             assert capsys.readouterr().out == first
+
+
+def exit_and_streams(run, argv):
+    """(exit code, stdout, stderr) of `run(argv)`, an exit by SystemExit
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+SUBCOMMAND_NAMES = ["validate", "properties", "cox", "classgroup", "lift", "diag",
+                    "pipeline", "snf"]
+
+
+class TestParser:
+    """A request builds only its subcommand's parser; what it prints and
+    how it exits are those of the parser with every subcommand."""
+
+    @pytest.mark.parametrize("argv", [[name, flag] for name in SUBCOMMAND_NAMES
+                                      for flag in ("--help", "--json")])
+    def test_help_and_missing_argument_match_the_full_parser(self, argv):
+        expected = exit_and_streams(lambda a: build_parser().parse_args(a), argv)
+        assert expected[0] in (0, 2)
+        assert exit_and_streams(main, argv) == expected
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["--json"], ["bogus"], ["co", "x"],
+                                      ["cox", "x", "y"], ["lift", "x"], ["-h", "cox"]])
+    def test_other_requests_match_the_full_parser(self, argv):
+        expected = exit_and_streams(lambda a: build_parser().parse_args(a), argv)
+        assert exit_and_streams(main, argv) == expected
+
+    def test_a_request_builds_one_subparser(self, fan_files, monkeypatch):
+        built = []
+        real = argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            lambda self, name, **kw: built.append(name) or real(self, name, **kw))
+        assert exit_and_streams(main, ["validate", fan_files["p2"]])[0] == 0
+        assert built == ["validate"]
+        built.clear()
+        assert exit_and_streams(main, ["--help"])[0] == 0
+        assert built == SUBCOMMAND_NAMES
+
+    def test_no_argv_reads_the_command_line(self, fan_files, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["coxtoric", "validate", fan_files["p2"]])
+        assert main() == 0
+        assert "valid: True" in capsys.readouterr().out
 
 
 JSON_KEYS = ["rank", "rays", "max_cones", "weights", "monomial_matrices", "perm", "scalars"]

@@ -14,6 +14,7 @@ from coxtoric.cones import Cone, cone_from_rays, zero_cone
 from coxtoric.corpus import affine_space, corpus_fans
 from coxtoric.errors import (
     FanValidationError,
+    InvalidRayError,
     ShapeError,
     StrongConvexityError,
     UnsupportedShapeError,
@@ -193,6 +194,99 @@ def maximal_cone_lists(draw):
     else:
         cones.insert(draw(st.integers(0, len(cones))), cone)
     return fan.rank, cones
+
+
+@st.composite
+def collections_near_fans(draw):
+    """(rank, cones): a `maximal_cone_lists` case, or the maximal cones of a
+    complete fangen fan kept, thinned to a subset, with one ray of a cone
+    moved, or with the negative of one cone added."""
+    if draw(st.booleans()):
+        return draw(maximal_cone_lists())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rank = draw(st.integers(1, 3))
+    cones = list(random_complete_simplicial_fan(rng, rank).max_cones)
+    k = draw(st.integers(0, len(cones) - 1))
+    mode = draw(st.sampled_from(["keep", "subset", "perturb", "negate"]))
+    if mode == "subset":
+        cones = [c for c in cones if draw(st.booleans())]
+    elif mode == "perturb":
+        rays = list(cones[k].rays)
+        j = draw(st.integers(0, len(rays) - 1))
+        step = draw(st.lists(st.integers(-1, 1), min_size=rank, max_size=rank))
+        rays[j] = tuple(a + b for a, b in zip(rays[j], step))
+        try:
+            cones[k] = cone_from_rays(rank, rays)
+        except (InvalidRayError, StrongConvexityError):
+            pass
+    elif mode == "negate":
+        negated = cone_from_rays(rank, [tuple(-x for x in r) for r in cones[k].rays])
+        cones.insert(draw(st.integers(0, len(cones))), negated)
+    return rank, cones
+
+
+def polygon_fan(rays):
+    """The complete rank-2 fan of consecutive pairs of `rays`, which are
+    listed counterclockwise."""
+    k = len(rays)
+    return fan_from_max_cones(2, [cone_from_rays(2, [rays[i], rays[(i + 1) % k]])
+                                  for i in range(k)])
+
+
+class TestLocalCertificate:
+    @given(collections_near_fans(), st.randoms(use_true_random=False))
+    @settings(max_examples=150)
+    def test_a_certified_collection_is_a_fan_with_convex_support(self, case, rnd):
+        rank, cones = case
+        if not fans._locally_certified(rank, cones):
+            return
+        assert reference_pairing_error(cones) is None
+        fan = fan_from_max_cones(rank, cones)
+        assert fan.has_convex_support()
+        for _ in range(10):
+            point = tuple(rnd.randint(-3, 3) for _ in range(rank))
+            assert fan.contains_point(point) == cone_contains_lp(point, list(fan.rays))
+
+    def test_collection_winding_twice_has_paired_walls_but_is_rejected(self):
+        rays = [(1, 0), (-1, 2), (-1, -3), (2, 1), (-2, 1), (-1, -2)]
+        cones = [cone_from_rays(2, [rays[i], rays[(i + 1) % 6]]) for i in range(6)]
+        walls = fans._facet_incidence(2, cones)
+        assert len(walls) == 6
+        for (_, _, u), (_, _, v) in walls.values():
+            assert u == tuple(-x for x in v)
+        # the sum of the rays of cone 0, (0, 2), lies in cone 3 too
+        assert not fans._locally_certified(2, cones)
+        with pytest.raises(FanValidationError, match=r"^cones 0 and 2 overlap"):
+            fan_from_max_cones(2, cones)
+
+    def test_walls_shared_on_one_side_are_rejected(self):
+        # the quadrants, plus a wedge covered twice more: three cones on the
+        # rays (3, 1), (1, 1), (1, 3), two of them on the same side of
+        # (3, 1) and of (1, 3); the rays of cone 0 sum to a point covered once
+        quadrants = [[(0, 1), (-1, 0)], [(-1, 0), (0, -1)], [(0, -1), (1, 0)], [(1, 0), (0, 1)]]
+        wedge = [[(3, 1), (1, 1)], [(3, 1), (1, 3)], [(1, 1), (1, 3)]]
+        cones = [cone_from_rays(2, c) for c in quadrants + wedge]
+        assert all(len(e) == 2 for e in fans._facet_incidence(2, cones).values())
+        assert not fans._locally_certified(2, cones)
+        expected = reference_pairing_error(cones)
+        with pytest.raises(FanValidationError, match=f"^{expected}"):
+            fan_from_max_cones(2, cones)
+
+    def test_fans_with_convex_support_take_no_separation(self, corpus, rng, count_calls):
+        polygon = polygon_fan([(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1),
+                               (-1, 0), (-1, -1), (0, -1), (1, -1)])
+        stellar = random_complete_simplicial_fan(rng, 3, subdivisions=6)
+        fan_list = [*corpus.values(), affine_space(4), polygon, stellar]
+        assert polygon.is_complete() and stellar.is_complete()
+        calls = count_calls(fans, "_separation")
+        for fan in fan_list:
+            assert fan_from_dict(fan_to_dict(fan)).max_cones == fan.max_cones
+        assert calls == {"_separation": 0}
+        # two quadrants meeting at the origin: a boundary normal is negative
+        # on a ray, so the pair is separated
+        fan_from_max_cones(2, [cone_from_rays(2, [(1, 0), (0, 1)]),
+                               cone_from_rays(2, [(-1, 0), (0, -1)])])
+        assert calls == {"_separation": 1}
 
 
 class TestSeparation:
