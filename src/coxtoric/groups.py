@@ -88,7 +88,12 @@ class MonomialMatrix:
             raise ShapeError(f"{self.perm} is not a permutation of 0..{m - 1}")
         if len(self.scalars) != m:
             raise ShapeError("need one scalar exponent per coordinate")
-        object.__setattr__(self, "scalars", tuple(Fraction(s) % 1 for s in self.scalars))
+        scalars = []
+        for s in self.scalars:
+            s = s if isinstance(s, Fraction) else Fraction(s)
+            n, d = s.numerator, s.denominator
+            scalars.append(s if 0 <= n < d else Fraction(n % d, d))
+        object.__setattr__(self, "scalars", tuple(scalars))
 
     @property
     def size(self) -> int:
@@ -183,14 +188,16 @@ def commutes_with_torus(g: MonomialMatrix, group: DiagonalizableSubgroup) -> boo
     itself.
 
     This is the normalizer condition; see centralizes_torus for elementwise
-    commutation, which is strictly stronger.
+    commutation, which is strictly stronger.  A rank-one lattice Z*a is kept
+    iff a permutes to a or -a; larger lattices compare Hermite forms.
     """
     if g.size != group.ambient:
         raise ShapeError("monomial matrix size does not match ambient rank")
     canonical = group.canonical_relations
-    permuted = IntMatrix.from_rows([canonical.row(j) for j in g._perm_inverse()],
-                                   cols=canonical.cols)
-    return lattice_canonical_form(permuted) == canonical
+    rows = tuple(canonical.row(j) for j in g._perm_inverse())
+    if canonical.cols == 1:
+        return rows == canonical.entries or rows == tuple((-x,) for (x,) in canonical.entries)
+    return lattice_canonical_form(IntMatrix.from_rows(rows, cols=canonical.cols)) == canonical
 
 
 def centralizes_torus(g: MonomialMatrix, group: DiagonalizableSubgroup) -> bool:
@@ -233,8 +240,8 @@ def character_root_isogeny(xi: Sequence[int], d: int) -> tuple[IntMatrix, Vector
     """An isogeny kappa of the torus with kappa^T * xi = d * xi0.
 
     Construction: a unimodular U sends xi to (g, 0, ..., 0) with g = gcd(xi);
-    kappa^T = diag(d / gcd(d, g), 1, ..., 1) * U then satisfies the identity
-    with xi0 integral, and |det kappa| = d / gcd(d, g), which is minimal.
+    kappa^T = diag(d / gcd(d, g), 1, ..., 1) * U, U with its row 0 scaled,
+    satisfies it with xi0 integral, and |det kappa| = d / gcd(d, g) is minimal.
     U is the row transform of xi's Smith form: one column takes no column
     operation, so V = [1].  For xi = 0 the identity matrix works with xi0 = 0.
     """
@@ -251,7 +258,7 @@ def character_root_isogeny(xi: Sequence[int], d: int) -> tuple[IntMatrix, Vector
     if u.apply(xi) != (g,) + (0,) * (r - 1):
         raise ArithmeticError(f"U = {u} does not send {xi} to ({g}, 0, ..., 0)")
     factor = d // gcd(d, g)
-    kappa_t = IntMatrix.diagonal([factor] + [1] * (r - 1)) @ u
+    kappa_t = IntMatrix(r, r, (tuple(factor * x for x in u.entries[0]),) + u.entries[1:])
     image = kappa_t.apply(xi)
     if any(x % d for x in image):
         raise ArithmeticError(f"kappa^T * xi = {image} is not divisible by {d}")

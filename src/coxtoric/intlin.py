@@ -120,15 +120,13 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.column(j) for j in range(self.cols)))
+        return _built(zip(*self.entries) if self.rows else [()] * self.cols, self.rows)
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         cols = list(zip(*other.entries)) if other.rows else [()] * other.cols
-        return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(sum(map(mul, row, c)) for c in cols) for row in self.entries))
+        return _built(([sum(map(mul, row, c)) for c in cols] for row in self.entries), other.cols)
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product; accepts int or Fraction entries."""
@@ -151,6 +149,12 @@ class IntMatrix:
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(a) for a in row) for row in self.entries) + "]"
+
+
+def _built(rows: Iterable[Iterable[int]], cols: int) -> IntMatrix:
+    """IntMatrix of int rows this module computed; unlike `from_rows`, no int()."""
+    entries = tuple(map(tuple, rows))
+    return IntMatrix(len(entries), cols, entries)
 
 
 def _bareiss(M: list[list[int]], cols: int) -> tuple[int, int, list[int]]:
@@ -355,7 +359,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     ArithmeticError raised if it fails."""
     m, n = a.rows, a.cols
     D, U, V = _smith_elimination(a, carry_u=True)
-    result = SnfResult(IntMatrix.from_rows(U, m), IntMatrix.from_rows(D, n), IntMatrix.from_rows(V, n))
+    result = SnfResult(_built(U, m), _built(D, n), _built(V, n))
     if result.U @ a @ result.V != result.D:
         raise ArithmeticError(f"Smith form of {a} fails U * A * V = D")
     return result
@@ -410,14 +414,15 @@ def column_hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, tupl
     M = [list(row) for row in a.entries]
     V = _identity_rows(n)
     pivots = _column_hermite((M, V), n)
-    return (IntMatrix.from_rows(M, n), IntMatrix.from_rows(V, n), pivots)
+    return _built(M, n), _built(V, n), pivots
 
 
 def lattice_canonical_form(a: IntMatrix) -> IntMatrix:
-    """Canonical basis matrix of the column lattice of A (zero columns dropped)."""
+    """Canonical basis matrix of the column lattice of A (zero columns dropped):
+    the Hermite form's pivot columns, which are its leading ones."""
     M = [list(row) for row in a.entries]
-    pivots = _column_hermite((M,), a.cols)
-    return IntMatrix.from_columns([[row[c] for row in M] for _, c in pivots], rows=a.rows)
+    k = len(_column_hermite((M,), a.cols))
+    return _built([row[:k] for row in M], k)
 
 
 def _back_substitute(H, pivots, b: Sequence[int], cols: int) -> tuple[int, list[int]] | None:
@@ -490,15 +495,17 @@ def divisibility_index(L: IntMatrix, v: Sequence[int]) -> int | None:
 def kernel_basis(a: IntMatrix) -> list[Vector]:
     """Basis of the saturated lattice ker(A) in Z^cols (empty iff A injective).
 
-    The basis K is the trailing columns of V in a Smith form U*A*V = D,
-    from an elimination that carries no U.  Checked: A*K = 0, and
-    len(K) = cols - rank(A) with the rank from an independent Bareiss
-    elimination of A; ArithmeticError if either fails.
+    A Bareiss rank comes first, so a full-column-rank A takes no Smith
+    elimination.  Otherwise K is the trailing columns of V in a Smith form
+    U*A*V = D from an elimination that carries no U.  Checked: A*K = 0, and
+    len(K) = cols - that rank; ArithmeticError if either fails.
     """
+    rank = _bareiss([list(row) for row in a.entries], a.cols)[0]
+    if rank == a.cols:
+        return []
     D, _, V = _smith_elimination(a, carry_u=False)
     rho = sum(1 for i in range(min(a.rows, a.cols)) if D[i][i])
     kernel = [tuple(row[j] for row in V) for j in range(rho, a.cols)]
-    rank = _bareiss([list(row) for row in a.entries], a.cols)[0]
     if len(kernel) != a.cols - rank:
         raise ArithmeticError(f"kernel of {a} has {len(kernel)} generators, expected "
                               f"{a.cols} - rank {rank}")
@@ -544,13 +551,12 @@ def saturation_basis(a: IntMatrix) -> IntMatrix:
     """
     snf = smith_normal_form(a)
     rho = snf.rank()
-    images = (a @ snf.V).columns()
-    if any(any(c) for c in images[rho:]):
+    images = (a @ snf.V).entries
+    if any(any(row[rho:]) for row in images):
         raise ArithmeticError(f"A does not annihilate a column of V past rank {rho} "
                               f"for A = {a}")
-    basis = []
-    for i, (c, d) in enumerate(zip(images, snf.D.diagonal_entries()[:rho])):
-        if any(x % d for x in c):
+    divisors = snf.D.diagonal_entries()[:rho]
+    for i, d in enumerate(divisors):
+        if any(row[i] % d for row in images):
             raise ArithmeticError(f"A * v_{i} is not divisible by d_{i} = {d} for A = {a}")
-        basis.append([x // d for x in c])
-    return IntMatrix.from_columns(basis, rows=a.rows)
+    return _built(([x // d for x, d in zip(row, divisors)] for row in images), rho)

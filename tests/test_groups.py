@@ -38,6 +38,16 @@ def weight(rows):
     return WeightAction(m.rows, m)
 
 
+def isogeny_by_diagonal_product(xi, d):
+    """character_root_isogeny by its defining product diag(f, 1, ..., 1) * U."""
+    r, g = len(xi), vector_gcd(xi)
+    if g == 0:
+        return IntMatrix.identity(r), (0,) * r
+    u = smith_normal_form(IntMatrix.from_columns([xi], rows=r)).U
+    kappa_t = IntMatrix.diagonal([d // gcd(d, g)] + [1] * (r - 1)) @ u
+    return kappa_t.transpose(), tuple(x // d for x in kappa_t.apply(xi))
+
+
 def rank_one_subgroup(column):
     return DiagonalizableSubgroup(len(column), IntMatrix.from_columns([column], rows=len(column)))
 
@@ -177,6 +187,16 @@ class TestMonomialMatrix:
         g = MonomialMatrix((0, 1), (Fraction(3, 2), Fraction(-1, 3)))
         assert g.scalars == (Fraction(1, 2), Fraction(2, 3))
 
+    @given(st.lists(st.one_of(
+        st.integers(-7, 7),
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+        st.tuples(st.integers(-30, 30), st.integers(1, 12)).map(lambda t: f"{t[0]}/{t[1]}")),
+        min_size=1, max_size=5))
+    def test_scalars_are_reduced_modulo_one(self, scalars):
+        g = MonomialMatrix(tuple(range(len(scalars))), tuple(scalars))
+        assert g.scalars == tuple(Fraction(s) % 1 for s in scalars)
+        assert all(type(s) is Fraction for s in g.scalars)
+
     def test_not_a_permutation(self):
         with pytest.raises(ShapeError):
             MonomialMatrix((0, 0), (0, 0))
@@ -274,8 +294,25 @@ class TestCommutesWithTorus:
         g0 = rank_one_subgroup((1, 1, 0))
         for perm in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]:
             commutes_with_torus(MonomialMatrix(perm, (0, 0, 0)), g0)
-        # one form per permuted lattice, plus one for the subgroup's own
-        assert len(calls) == 4
+        # a rank-one lattice takes only its own form: its generator is
+        # compared with the permuted one up to sign
+        assert len(calls) == 1
+        g1 = DiagonalizableSubgroup(4, IntMatrix.from_columns([(1, 1, 0, 0), (0, 1, 2, 1)], rows=4))
+        for perm in [(0, 1, 2, 3), (1, 0, 2, 3), (3, 2, 1, 0)]:
+            commutes_with_torus(MonomialMatrix(perm, (0,) * 4), g1)
+        # a rank-two lattice: one form per permuted lattice, plus its own
+        assert len(calls) == 1 + 4
+
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=5).filter(any))
+    @settings(max_examples=25)
+    def test_rank_one_verdict_is_the_hermite_comparison(self, a):
+        g = vector_gcd(a)
+        group = rank_one_subgroup(tuple(x // g for x in a))
+        canonical = lattice_canonical_form(group.relations)
+        for perm in permutations(range(len(a))):
+            mm = MonomialMatrix(perm, (0,) * len(a))
+            permuted = IntMatrix.from_rows([canonical.row(j) for j in mm._perm_inverse()], cols=1)
+            assert commutes_with_torus(mm, group) == (lattice_canonical_form(permuted) == canonical)
 
 
 class TestHyperplaneReport:
@@ -351,6 +388,10 @@ class TestCharacterRootIsogeny:
         assert snf.V == IntMatrix.identity(1)
         assert snf.D.entries[0][0] == vector_gcd(xi)
         assert snf.U.apply(xi) == (vector_gcd(xi),) + (0,) * (len(xi) - 1)
+
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=5), st.integers(1, 40))
+    def test_equals_the_diagonal_product(self, xi, d):
+        assert character_root_isogeny(xi, d) == isogeny_by_diagonal_product(xi, d)
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=4), st.integers(1, 12))
     def test_identity_and_determinant(self, xi, d):

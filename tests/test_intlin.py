@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxtoric import intlin
@@ -217,6 +217,16 @@ class TestCokernel:
         assert cokernel_invariants(a) == (1, ())
 
 
+@st.composite
+def full_column_rank_matrices(draw):
+    """n x k integer matrices of rank k, with n from k to k + 2."""
+    k = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(st.integers(-10, 10), min_size=k, max_size=k),
+                         min_size=k, max_size=k + 2))
+    assume(rank_fraction_gauss(rows, k) == k)
+    return IntMatrix.from_rows(rows, cols=k)
+
+
 class TestKernel:
     def test_difference(self):
         [v] = kernel_basis(M([[1, -1]]))
@@ -226,6 +236,18 @@ class TestKernel:
 
     def test_injective(self):
         assert kernel_basis(IntMatrix.identity(2)) == []
+
+    @given(full_column_rank_matrices())
+    def test_full_column_rank_takes_no_smith_elimination(self, a):
+        # A is injective iff it has full column rank, which the Bareiss rank
+        # decides before any elimination
+        calls = []
+        real = intlin._smith_elimination
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intlin, "_smith_elimination",
+                       lambda *args, **kw: calls.append(args) or real(*args, **kw))
+            assert kernel_basis(a) == []
+        assert calls == []
 
     @given(degenerate_matrices())
     @settings(max_examples=100)
@@ -459,6 +481,40 @@ class TestHermite:
         shuffled = IntMatrix.from_columns(
             [tuple(-x for x in c) for c in reversed(cols)], rows=a.rows)
         assert lattice_canonical_form(a) == lattice_canonical_form(shuffled)
+
+
+class TestConstruction:
+    @given(degenerate_matrices())
+    def test_every_result_goes_through_init(self, a):
+        built = []
+        real = IntMatrix.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            real(self, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(IntMatrix, "__init__", counting)
+            # results built from no other matrix: one construction each
+            t = a.transpose()
+            product = a @ t
+            h, v, _ = column_hermite_normal_form(a)
+            canonical = lattice_canonical_form(a)
+            assert len(built) == 5
+            # the Smith form's check multiplies twice; saturation adds A * V
+            snf = smith_normal_form(a)
+            assert len(built) == 5 + 3 + 2
+            sat = saturation_basis(a)
+            assert len(built) == 10 + 5 + 2
+        results = [t, product, h, v, canonical, snf.U, snf.D, snf.V, sat]
+        assert all(any(r is b for b in built) for r in results)
+        assert all(type(x) is int for r in results for row in r.entries for x in row)
+
+    def test_from_rows_coerces_user_entries(self):
+        m = IntMatrix.from_rows([[True, 2]])
+        assert m.entries == ((1, 2),)
+        assert type(m.entries[0][0]) is int
+        assert type(IntMatrix.from_columns([[True], [False]]).entries[0][1]) is int
 
 
 class TestSaturationAndInverse:
