@@ -21,10 +21,10 @@ from .errors import HypothesisError, ShapeError
 from .intlin import (
     IntMatrix,
     Vector,
+    back_substitute,
     cokernel_invariants,
     kernel_basis,
     lattice_canonical_form,
-    lattice_membership,
     smith_normal_form,
     vector_gcd,
 )
@@ -51,6 +51,12 @@ class DiagonalizableSubgroup:
     def canonical_relations(self) -> IntMatrix:
         """Canonical basis of the relation lattice, taken once per subgroup."""
         return lattice_canonical_form(self.relations)
+
+    @cached_property
+    def _pivots(self) -> tuple[tuple[int, int], ...]:
+        """(row, column) pivots of `canonical_relations`: each column's first nonzero row."""
+        return tuple((next(i for i, x in enumerate(column) if x), c)
+                     for c, column in enumerate(self.canonical_relations.columns()))
 
     @staticmethod
     def full_torus(ambient: int) -> DiagonalizableSubgroup:
@@ -205,17 +211,18 @@ def centralizes_torus(g: MonomialMatrix, group: DiagonalizableSubgroup) -> bool:
 
     Elementwise commutation forces t_{perm(i)} = t_i for every group element
     t, i.e. every comparison character e_i - e_{perm(i)} must vanish on the
-    subgroup, which happens exactly when it lies in the relation lattice.
+    subgroup, which happens exactly when it lies in the relation lattice,
+    already in Hermite form as `canonical_relations`.
     """
     if g.size != group.ambient:
         raise ShapeError("monomial matrix size does not match ambient rank")
+    H = group.canonical_relations
     for i, pi in enumerate(g.perm):
         if pi == i:
             continue
-        chi = [0] * g.size
-        chi[i] += 1
-        chi[pi] -= 1
-        if not lattice_membership(group.canonical_relations, chi):
+        chi = [(k == i) - (k == pi) for k in range(g.size)]
+        found = back_substitute(H.entries, group._pivots, chi, H.cols)
+        if found is None or found[0] != 1:
             return False
     return True
 

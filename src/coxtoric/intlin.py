@@ -7,15 +7,15 @@ system solving.  No floats anywhere; rationals appear only as inputs
 to membership-style predicates elsewhere.
 
 One Smith elimination and one column Hermite elimination serve every
-caller, each carrying only the transforms its caller reads.  Membership,
+caller.  Each eliminates only its matrix and logs its operations; a
+transform is the log replayed onto just what the caller reads.  Membership,
 divisibility index and integer solving are one back-substitution per
-right-hand side against one column Hermite form; only solving carries its
-transform.  Results are certified by explicit checks that raise
-ArithmeticError: `smith_normal_form` checks U*A*V = D, `kernel_basis`
-checks A*K = 0 and the kernel's rank against an independent Bareiss rank,
-`saturation_basis` checks that A*V = U^-1*D divides exactly, `solve_scaled`
-checks every column of its solution by substitution and
-`invert_unimodular` checks A*V = I.
+right-hand side against one column Hermite form.  Results are certified by
+explicit checks that raise ArithmeticError: `smith_normal_form` checks
+U*A*V = D, `kernel_basis` checks A*K = 0 and the kernel's rank against an
+independent Bareiss rank, `saturation_basis` checks |det U^-1| = 1 and two
+Bareiss ranks, `solve_scaled` checks every column of its solution by
+substitution and `invert_unimodular` checks A*V = I.
 """
 
 from __future__ import annotations
@@ -232,145 +232,144 @@ class SnfResult:
         return tuple(d for d in self.D.diagonal_entries() if d)
 
 
-def _swap_rows(M, i, j):
-    M[i], M[j] = M[j], M[i]
-
-
-def _swap_cols(M, i, j):
-    for row in M:
-        row[i], row[j] = row[j], row[i]
-
-
-def _combine_rows(M, i, j, x, y, p, q):
-    """rows (i, j) <- (x*row_i + y*row_j, -q*row_i + p*row_j); x*p + y*q = 1."""
-    for k in range(len(M[i])):
-        M[i][k], M[j][k] = x * M[i][k] + y * M[j][k], -q * M[i][k] + p * M[j][k]
-
-
-def _combine_cols(M, i, j, x, y, p, q):
-    for row in M:
-        row[i], row[j] = x * row[i] + y * row[j], -q * row[i] + p * row[j]
-
-
-def _eliminate_row_entry(mats, t, i):
-    """Zero M[i][t] against pivot M[t][t] by a unimodular 2-row operation
-    applied to every matrix in `mats` (the first carries the pivot).
-
-    When the pivot already divides the entry this is a plain row
-    subtraction, which leaves the pivot row untouched; that property is
-    what makes the alternating reduction in smith_normal_form terminate.
-    """
-    M = mats[0]
-    a, b = M[t][t], M[i][t]
-    if a and b % a == 0:
-        q = b // a
-        for mat in mats:
-            for k in range(len(mat[i])):
-                mat[i][k] -= q * mat[t][k]
+def _row_op(M, op):
+    """Apply one operation to the rows of the row lists M, in place; return it.
+    (t, j, q): row_j -= q*row_t; (t, j, x, y, p, q) with x*p + y*q = 1: rows
+    (t, j) <- (x*row_t + y*row_j, p*row_j - q*row_t); (i, j): swap; (i,): negate."""
+    if len(op) == 3:
+        t, j, q = op
+        M[j] = [a - q * b for a, b in zip(M[j], M[t])]
+    elif len(op) == 6:
+        t, j, x, y, p, q = op
+        M[t], M[j] = ([x * a + y * b for a, b in zip(M[t], M[j])],
+                      [p * b - q * a for a, b in zip(M[t], M[j])])
+    elif len(op) == 2:
+        i, j = op
+        M[i], M[j] = M[j], M[i]
     else:
-        g, x, y = _xgcd(a, b)
-        p, q = a // g, b // g
-        for mat in mats:
-            _combine_rows(mat, t, i, x, y, p, q)
+        (i,) = op
+        M[i] = [-x for x in M[i]]
+    return op
 
 
-def _eliminate_col_entry(mats, r, t, j):
-    """Column analogue of _eliminate_row_entry: zero M[r][j] against the
-    pivot M[r][t] (M = mats[0]) by a unimodular 2-column operation."""
-    M = mats[0]
-    a, b = M[r][t], M[r][j]
-    if a and b % a == 0:
-        q = b // a
-        for mat in mats:
-            for row in mat:
-                row[j] -= q * row[t]
+def _col_op(M, op):
+    """`_row_op`'s operation on the columns of M instead of its rows."""
+    if len(op) == 3:
+        t, j, q = op
+        for row in M:
+            row[j] -= q * row[t]
+    elif len(op) == 6:
+        t, j, x, y, p, q = op
+        for row in M:
+            a, b = row[t], row[j]
+            row[t], row[j] = x * a + y * b, p * b - q * a
+    elif len(op) == 2:
+        i, j = op
+        for row in M:
+            row[i], row[j] = row[j], row[i]
     else:
-        g, x, y = _xgcd(a, b)
-        p, q = a // g, b // g
-        for mat in mats:
-            _combine_cols(mat, t, j, x, y, p, q)
+        (i,) = op
+        for row in M:
+            row[i] = -row[i]
+    return op
+
+
+def _clearing_op(a: int, b: int, t: int, j: int) -> tuple[int, ...]:
+    """The operation zeroing entry b of line j against pivot a of line t: when
+    a divides b, a subtraction, which leaves line t untouched so that the
+    alternating reduction in `_smith_elimination` terminates."""
+    if a and b % a == 0:
+        return t, j, b // a
+    g, x, y = _xgcd(a, b)
+    return t, j, x, y, a // g, b // g
+
+
+def _replay(log, M: list[list[int]], how: str = "") -> list[list[int]]:
+    """Replay logged operations G_1, ..., G_k onto the columns of the row
+    lists M, in place; return M.  A column log gives V = G_1^T*...*G_k^T and
+    a row log U = G_k*...*G_1 (`_col_op` applies G as M <- M*G^T, `_row_op`
+    as M <- G*M), so forward onto the identity a log gives V, or U^T.  In
+    reverse, how="T" gives M <- M*G_k*...*G_1 (each row v of M becomes V*v)
+    and how="inv" M <- M*G_k^-T*...*G_1^-T, (U^-1)^T from the identity."""
+    for op in reversed(log) if how else log:
+        if how and len(op) == 3:
+            t, j, q = op
+            op = (j, t, q) if how == "T" else (t, j, -q)
+        elif how and len(op) == 6:
+            t, j, x, y, p, q = op
+            op = (t, j, x, -q, p, -y) if how == "T" else (t, j, p, -y, x, -q)
+        _col_op(M, op)
+    return M
 
 
 def _identity_rows(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-def _smith_elimination(a: IntMatrix, carry_u: bool):
-    """The gcd-driven diagonalization behind smith_normal_form, on row lists.
-
-    Returns (D, U, V) with U*A*V = D.  U is None unless carry_u, so that
-    a caller that reads no U applies no row operation to it.  Pivots are
-    chosen by minimal absolute value; whenever the current pivot fails to
-    divide an entry of the remaining block, that entry's row is folded
-    into the pivot row, which makes the resulting diagonal satisfy the
-    divisibility chain without a separate fix-up pass.
+def _smith_elimination(a: IntMatrix):
+    """The gcd-driven diagonalization behind every Smith form, on row lists:
+    (D, rows, cols), D = U*A*V and the row and column logs of U and V.
+    Pivots are chosen by minimal absolute value; whenever the current pivot
+    fails to divide an entry of the remaining block, that entry's row is
+    folded into the pivot row, which makes the resulting diagonal satisfy
+    the divisibility chain without a separate fix-up pass.
     """
     m, n = a.rows, a.cols
     M = [list(row) for row in a.entries]
-    U = _identity_rows(m) if carry_u else None
-    V = _identity_rows(n)
-    row_mats = (M, U) if carry_u else (M,)
-    col_mats = (M, V)
-
+    rows: list[tuple[int, ...]] = []
+    cols: list[tuple[int, ...]] = []
     for t in range(min(m, n)):
-        best = None
+        best, least = None, 0
         for i in range(t, m):
-            for j in range(t, n):
-                if M[i][j] and (best is None or abs(M[i][j]) < abs(M[best[0]][best[1]])):
-                    best = (i, j)
+            for j, x in enumerate(M[i][t:], t):
+                if x and (not least or abs(x) < least):
+                    best, least = (i, j), abs(x)
+            if least == 1:
+                break
         if best is None:
             break
         if best[0] != t:
-            for mat in row_mats:
-                _swap_rows(mat, t, best[0])
+            rows.append(_row_op(M, (t, best[0])))
         if best[1] != t:
-            for mat in col_mats:
-                _swap_cols(mat, t, best[1])
+            cols.append(_col_op(M, (t, best[1])))
         while True:
             for i in range(t + 1, m):
                 if M[i][t]:
-                    _eliminate_row_entry(row_mats, t, i)
+                    rows.append(_row_op(M, _clearing_op(M[t][t], M[i][t], t, i)))
             for j in range(t + 1, n):
                 if M[t][j]:
-                    _eliminate_col_entry(col_mats, t, t, j)
+                    cols.append(_col_op(M, _clearing_op(M[t][t], M[t][j], t, j)))
             if any(M[i][t] for i in range(t + 1, m)):
                 continue
             piv = M[t][t]
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if M[i][j] % piv:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = None if abs(piv) == 1 else next(
+                (i for i in range(t + 1, m) if any(M[i][j] % piv for j in range(t + 1, n))), None)
             if bad is None:
                 break
-            for mat in row_mats:
-                mat[t] = [x + y for x, y in zip(mat[t], mat[bad])]
+            rows.append(_row_op(M, (bad, t, -1)))
         if M[t][t] < 0:
-            for mat in row_mats:
-                mat[t] = [-x for x in mat[t]]
-    return M, U, V
+            rows.append(_row_op(M, (t,)))
+    return M, rows, cols
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
-    """Smith normal form with both transforms; U*A*V = D is checked and an
-    ArithmeticError raised if it fails."""
+    """Smith normal form with both transforms, each its log replayed forward;
+    U*A*V = D is checked and an ArithmeticError raised if it fails."""
     m, n = a.rows, a.cols
-    D, U, V = _smith_elimination(a, carry_u=True)
-    result = SnfResult(_built(U, m), _built(D, n), _built(V, n))
+    D, rows, cols = _smith_elimination(a)
+    U = _built(zip(*_replay(rows, _identity_rows(m))), m)
+    result = SnfResult(U, _built(D, n), _built(_replay(cols, _identity_rows(n)), n))
     if result.U @ a @ result.V != result.D:
         raise ArithmeticError(f"Smith form of {a} fails U * A * V = D")
     return result
 
 
-def _column_hermite(mats, n: int) -> tuple[tuple[int, int], ...]:
-    """Column Hermite reduction of the m x n row lists mats[0], in place;
-    every column operation is applied to each matrix in `mats`.  Returns
-    the (row, column) pivots."""
-    M = mats[0]
+def _column_hermite(a: IntMatrix):
+    """Column Hermite reduction of A on row lists: (H, pivots, log), H = A*V
+    with its (row, column) pivots and the column log of V."""
+    M, n = [list(row) for row in a.entries], a.cols
     pivots: list[tuple[int, int]] = []
+    log: list[tuple[int, ...]] = []
     c = 0
     for i in range(len(M)):
         if c >= n:
@@ -379,57 +378,47 @@ def _column_hermite(mats, n: int) -> tuple[tuple[int, int], ...]:
         if j0 is None:
             continue
         if j0 != c:
-            for mat in mats:
-                _swap_cols(mat, c, j0)
+            log.append(_col_op(M, (c, j0)))
         for j in range(c + 1, n):
             if M[i][j]:
-                _eliminate_col_entry(mats, i, c, j)
+                log.append(_col_op(M, _clearing_op(M[i][c], M[i][j], c, j)))
         if M[i][c] < 0:
-            for mat in mats:
-                for row in mat:
-                    row[c] = -row[c]
+            log.append(_col_op(M, (c,)))
         piv = M[i][c]
         for j in range(c):
             q = M[i][j] // piv
             if q:
-                for mat in mats:
-                    for row in mat:
-                        row[j] -= q * row[c]
+                log.append(_col_op(M, (c, j, q)))
         pivots.append((i, c))
         c += 1
-    return tuple(pivots)
+    return M, tuple(pivots), log
 
 
 def column_hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, tuple[tuple[int, int], ...]]:
-    """Column-style Hermite normal form: H = A*V with V unimodular.
+    """Column-style Hermite normal form (H, V, pivots): H = A*V with V
+    unimodular, V its log replayed forward, and the (row, column) pivots.
 
     H is in column echelon form with positive pivots; entries to the left
     of a pivot in its row are reduced into [0, pivot).  The nonzero columns
     of H are a canonical basis of the column lattice of A, so equality of
     column lattices can be decided by comparing these forms.
-
-    Returns (H, V, pivots) where pivots lists (row, column) pairs.
     """
-    n = a.cols
-    M = [list(row) for row in a.entries]
-    V = _identity_rows(n)
-    pivots = _column_hermite((M, V), n)
-    return _built(M, n), _built(V, n), pivots
+    H, pivots, log = _column_hermite(a)
+    return _built(H, a.cols), _built(_replay(log, _identity_rows(a.cols)), a.cols), pivots
 
 
 def lattice_canonical_form(a: IntMatrix) -> IntMatrix:
     """Canonical basis matrix of the column lattice of A (zero columns dropped):
     the Hermite form's pivot columns, which are its leading ones."""
-    M = [list(row) for row in a.entries]
-    k = len(_column_hermite((M,), a.cols))
-    return _built([row[:k] for row in M], k)
+    H, pivots, _ = _column_hermite(a)
+    return _built([row[:len(pivots)] for row in H], len(pivots))
 
 
-def _back_substitute(H, pivots, b: Sequence[int], cols: int) -> tuple[int, list[int]] | None:
+def back_substitute(H: Sequence[Sequence[int]], pivots, b: Sequence[int], cols: int):
     """Least d >= 1 and integer y, zero off the pivot columns, with H*y = d*b
-    for the rows H and (row, column) pivots of a column Hermite form; None
-    off the span of H.  A pivot that fails to divide its row's remainder r
-    scales d and y by piv / gcd(r, piv), the least factor that makes it so."""
+    for the rows H and (row, column) pivots of a column Hermite form, as
+    (d, y); None off the span of H.  A pivot that fails to divide its row's
+    remainder r scales d and y by piv / gcd(r, piv), the least such factor."""
     if len(b) != len(H):
         raise ShapeError(f"vector of length {len(b)} for a lattice in Z^{len(H)}")
     pivot_rows = {i for i, _ in pivots}
@@ -454,15 +443,16 @@ def _back_substitute(H, pivots, b: Sequence[int], cols: int) -> tuple[int, list[
 def solve_scaled(a: IntMatrix, rhs: Sequence[Sequence[int]]) -> tuple[int, list[Vector]] | None:
     """Least d >= 1 with d*b_j in the column lattice of A for every column b_j
     of `rhs`, and solutions x_j of A*x_j = d*b_j; None if some b_j is off the
-    rational span.  One Hermite form H = A*V serves every b_j: H*y_j = d_j*b_j
-    for its back-substitution y_j, so x_j = V*((d/d_j)*y_j).  Each x_j is
-    verified by substitution."""
-    H, V, pivots = column_hermite_normal_form(a)
-    found = [_back_substitute(H.entries, pivots, b, a.cols) for b in rhs]
+    rational span.  One Hermite elimination H = A*V serves every b_j:
+    H*y_j = d_j*b_j for its back-substitution y_j, so x_j = V*((d/d_j)*y_j),
+    V's log replayed onto y_j.  Each x_j is verified by substitution."""
+    H, pivots, log = _column_hermite(a)
+    found = [back_substitute(H, pivots, b, a.cols) for b in rhs]
     if None in found:
         return None
     d = lcm(*(dj for dj, _ in found))
-    solutions = [V.apply([d // dj * t for t in y]) for dj, y in found]
+    scaled = [[d // dj * t for t in y] for dj, y in found]
+    solutions = list(map(tuple, _replay(log, scaled, "T")))
     for b, x in zip(rhs, solutions):
         if a.apply(x) != tuple(d * t for t in b):
             raise ArithmeticError(f"solution {x} of A * x = {d} * {tuple(b)} fails substitution")
@@ -484,11 +474,10 @@ def lattice_membership(L: IntMatrix, v: Sequence[int]) -> bool:
 def divisibility_index(L: IntMatrix, v: Sequence[int]) -> int | None:
     """Smallest d >= 1 with d*v in the column lattice of L; None iff v is
     not even in the rational span of the columns.  d comes from the
-    back-substitution shared with `solve_scaled`, against L's Hermite form
-    taken without V; only `solve_scaled` forms a solution and checks it."""
-    H = [list(row) for row in L.entries]
-    pivots = _column_hermite((H,), L.cols)
-    found = _back_substitute(H, pivots, v, L.cols)
+    back-substitution shared with `solve_scaled`, against L's Hermite form,
+    whose column log is not read."""
+    H, pivots, _ = _column_hermite(L)
+    found = back_substitute(H, pivots, v, L.cols)
     return None if found is None else found[0]
 
 
@@ -496,19 +485,19 @@ def kernel_basis(a: IntMatrix) -> list[Vector]:
     """Basis of the saturated lattice ker(A) in Z^cols (empty iff A injective).
 
     A Bareiss rank comes first, so a full-column-rank A takes no Smith
-    elimination.  Otherwise K is the trailing columns of V in a Smith form
-    U*A*V = D from an elimination that carries no U.  Checked: A*K = 0, and
+    elimination.  Otherwise K is the columns rho, ... of V in a Smith form
+    U*A*V = D, V's log replayed onto e_rho, ....  Checked: A*K = 0, and
     len(K) = cols - that rank; ArithmeticError if either fails.
     """
-    rank = _bareiss([list(row) for row in a.entries], a.cols)[0]
-    if rank == a.cols:
+    n = a.cols
+    rank = _bareiss([list(row) for row in a.entries], n)[0]
+    if rank == n:
         return []
-    D, _, V = _smith_elimination(a, carry_u=False)
-    rho = sum(1 for i in range(min(a.rows, a.cols)) if D[i][i])
-    kernel = [tuple(row[j] for row in V) for j in range(rho, a.cols)]
-    if len(kernel) != a.cols - rank:
-        raise ArithmeticError(f"kernel of {a} has {len(kernel)} generators, expected "
-                              f"{a.cols} - rank {rank}")
+    D, _, cols = _smith_elimination(a)
+    rho = sum(1 for i in range(min(a.rows, n)) if D[i][i])
+    kernel = list(map(tuple, _replay(cols, _identity_rows(n)[rho:], "T")))
+    if len(kernel) != n - rank:
+        raise ArithmeticError(f"kernel of {a} has {len(kernel)} generators, not {n} - {rank}")
     zero = (0,) * a.rows
     for j, k in enumerate(kernel, rho):
         if a.apply(k) != zero:
@@ -544,19 +533,22 @@ def saturation_basis(a: IntMatrix) -> IntMatrix:
     """Basis (as columns) of the saturation of the column lattice of A,
     i.e. of span_Q(columns) intersected with Z^rows.
 
-    The basis is the first rho = rank(A) columns of U^-1 for the checked
-    Smith form U*A*V = D.  Since A*V = U^-1*D, column i < rho of U^-1 is
-    A*v_i / d_i, so no inverse is formed.  Checked: each division is exact
-    and A*v_j = 0 for j >= rho; ArithmeticError otherwise.
+    The basis B is the first rho = rank(A) columns of W = U^-1 for the
+    Smith form U*A*V = D, U's log replayed inverted.  Checked, independently
+    of the elimination: |det W| = 1, so B spans a saturated lattice of rank
+    rho; the Bareiss rank of A is rho; and if rho < rows, rank [B | A] = rho,
+    so B spans span_Q(A).  ArithmeticError otherwise.
     """
-    snf = smith_normal_form(a)
-    rho = snf.rank()
-    images = (a @ snf.V).entries
-    if any(any(row[rho:]) for row in images):
-        raise ArithmeticError(f"A does not annihilate a column of V past rank {rho} "
-                              f"for A = {a}")
-    divisors = snf.D.diagonal_entries()[:rho]
-    for i, d in enumerate(divisors):
-        if any(row[i] % d for row in images):
-            raise ArithmeticError(f"A * v_{i} is not divisible by d_{i} = {d} for A = {a}")
-    return _built(([x // d for x, d in zip(row, divisors)] for row in images), rho)
+    m, n = a.rows, a.cols
+    D, rows, _ = _smith_elimination(a)
+    rho = sum(1 for i in range(min(m, n)) if D[i][i])
+    Wt = _replay(rows, _identity_rows(m), "inv")
+    basis = [[column[i] for column in Wt[:rho]] for i in range(m)]
+    rank, det, _ = _bareiss(Wt, m)
+    if rank != m or abs(det) != 1:
+        raise ArithmeticError(f"U^-1 of the Smith form of {a} is not unimodular")
+    if _bareiss([list(row) for row in a.entries], n)[0] != rho:
+        raise ArithmeticError(f"Smith form of {a} has rank {rho}, not its Bareiss rank")
+    if rho < m and _bareiss([b + list(r) for b, r in zip(basis, a.entries)], rho + n)[0] != rho:
+        raise ArithmeticError(f"the first {rho} columns of U^-1 miss the span of {a}")
+    return _built(basis, rho)

@@ -102,6 +102,24 @@ def solve_gauss(rows, rhs):
     return x
 
 
+def inverse_fraction_gauss_jordan(rows):
+    """Inverse of a square matrix by Gauss-Jordan elimination of [A | I]
+    over Fractions, as lists of Fractions; None when A is singular."""
+    n = len(rows)
+    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for j in range(n):
+        piv = next((i for i in range(j, n) if M[i][j]), None)
+        if piv is None:
+            return None
+        M[j], M[piv] = M[piv], M[j]
+        M[j] = [x / M[j][j] for x in M[j]]
+        for i in range(n):
+            if i != j and M[i][j]:
+                M[i] = [u - M[i][j] * v for u, v in zip(M[i], M[j])]
+    return [row[n:] for row in M]
+
+
 def cone_contains_lp(point, generators):
     """Feasibility of point = sum lambda_i * g_i with lambda >= 0.
 

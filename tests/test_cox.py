@@ -282,26 +282,28 @@ class TestClassGroup:
 
 class TestLiftSubtorus:
     def test_wrong_hermite_transform_fails_substitution(self, corpus, monkeypatch):
-        # Q * W^T = d * iota is the solver's substitution check
-        real = intlin.column_hermite_normal_form
+        # Q * W^T = d * iota is the solver's substitution check; an empty
+        # column log replays to V = I
+        real = intlin._column_hermite
 
         def identity_transform(a):
-            h, _, pivots = real(a)
-            return h, IntMatrix.identity(a.cols), pivots
+            h, pivots, _ = real(a)
+            return h, pivots, []
 
         p = cox_presentation(corpus["quadric_cone"])
-        monkeypatch.setattr(intlin, "column_hermite_normal_form", identity_transform)
+        monkeypatch.setattr(intlin, "_column_hermite", identity_transform)
         with pytest.raises(ArithmeticError, match="fails substitution"):
             lift_subtorus(p, iota([0], [1]))
 
     def test_takes_one_hermite_form(self, corpus, count_calls):
-        # d and every column of W come from one Hermite form of Q
+        # d and every column of W come from one Hermite elimination of Q,
+        # whose log is replayed onto the solutions: no V is formed
         p = cox_presentation(corpus["a3"])
         calls = count_calls(intlin, "column_hermite_normal_form", "_column_hermite",
                             "divisibility_index")
         result = lift_subtorus(p, iota([1, 0], [1, 2], [0, 1]))
         assert p.q_matrix @ result.weights.transpose() == iota([1, 0], [1, 2], [0, 1])
-        assert calls == {"column_hermite_normal_form": 1, "_column_hermite": 1,
+        assert calls == {"column_hermite_normal_form": 0, "_column_hermite": 1,
                          "divisibility_index": 0}
 
     def test_same_weights_as_solving_for_each_scaled_column(self, corpus, rng):

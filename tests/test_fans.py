@@ -508,15 +508,15 @@ class TestConvexSupport:
 
     def test_span_coordinates_take_one_hermite_form(self, count_calls):
         # four rays in the plane z = 0 are solved against the saturated span
-        # with one Hermite form per analysis, not one per ray
+        # with one Hermite elimination per analysis, not one per ray
         fan = fan_from_max_cones(3, [cone_from_rays(3, [(1, 0, 0), (1, 1, 0)]),
                                      cone_from_rays(3, [(1, 1, 0), (0, 1, 0)]),
                                      cone_from_rays(3, [(0, 1, 0), (-1, 0, 0)])])
-        calls = count_calls(intlin, "column_hermite_normal_form")
+        calls = count_calls(intlin, "_column_hermite")
         assert fan.has_convex_support()
-        assert calls == {"column_hermite_normal_form": 1}
+        assert calls == {"_column_hermite": 1}
         assert fan.convex_support_witness() is None
-        assert calls == {"column_hermite_normal_form": 2}
+        assert calls == {"_column_hermite": 2}
 
     def test_span_basis_that_misses_a_ray_raises_arithmetic_error(self, monkeypatch):
         # twice the saturated basis holds only twice each ray

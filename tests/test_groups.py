@@ -303,6 +303,16 @@ class TestCommutesWithTorus:
         # a rank-two lattice: one form per permuted lattice, plus its own
         assert len(calls) == 1 + 4
 
+    def test_centralizing_takes_no_reduction_past_the_subgroups_own(self, count_calls):
+        # each moved coordinate's character is back-substituted against the
+        # canonical relations, already in Hermite form, with pivots read once
+        group = DiagonalizableSubgroup(5, IntMatrix.from_columns(
+            [(1, -1, 0, 0, 0), (0, 0, 1, -1, 0)], rows=5))
+        calls = count_calls(intlin, "_column_hermite")
+        assert centralizes_torus(MonomialMatrix((1, 0, 3, 2, 4), (0,) * 5), group)
+        assert not centralizes_torus(MonomialMatrix((2, 1, 0, 3, 4), (0,) * 5), group)
+        assert calls == {"_column_hermite": 1}
+
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=5).filter(any))
     @settings(max_examples=25)
     def test_rank_one_verdict_is_the_hermite_comparison(self, a):

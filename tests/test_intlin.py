@@ -9,6 +9,7 @@ from coxtoric import intlin
 from coxtoric.errors import InvalidRayError, ShapeError
 from coxtoric.intlin import (
     IntMatrix,
+    back_substitute,
     cokernel_invariants,
     column_hermite_normal_form,
     divisibility_index,
@@ -22,12 +23,14 @@ from coxtoric.intlin import (
     smith_normal_form,
     solve_integer,
     solve_scaled,
+    vector_gcd,
 )
 from oracles import (
     brute_divisibility_index,
     brute_lattice_member,
     det_cofactor,
     invariant_factors_by_minors,
+    inverse_fraction_gauss_jordan,
     rank_fraction_gauss,
 )
 
@@ -264,16 +267,16 @@ class TestKernel:
     def test_corrupt_transform_raises_arithmetic_error(self, corrupt, monkeypatch):
         real = intlin._smith_elimination
 
-        def corrupted(a, carry_u):
-            D, U, V = real(a, carry_u)
+        def corrupted(a):
+            D, rows, cols = real(a)
             if corrupt == "column":
-                # a kernel column no longer annihilated by A
-                for row in V:
-                    row[-1] += row[0]
+                # one more logged column operation, col_last += col_0: a
+                # kernel column of V no longer annihilated by A
+                cols = cols + [(0, a.cols - 1, -1)]
             else:
                 # a zero pivot: one kernel vector too many
                 D[0][0] = 0
-            return D, U, V
+            return D, rows, cols
 
         monkeypatch.setattr(intlin, "_smith_elimination", corrupted)
         with pytest.raises(ArithmeticError):
@@ -408,18 +411,33 @@ class TestMembershipAndSolve:
         assert solve_scaled(M([[2], [0]]), [(2, 0), (1, 1)]) is None
 
     def test_wrong_hermite_transform_fails_substitution(self, monkeypatch):
-        # H = A * V must hold for the back-substitution to solve A * x = d * b
-        real = intlin.column_hermite_normal_form
+        # H = A * V must hold for the back-substitution to solve A * x = d * b;
+        # an empty column log replays to V = I
+        real = intlin._column_hermite
 
         def identity_transform(a):
-            h, _, pivots = real(a)
-            return h, IntMatrix.identity(a.cols), pivots
+            h, pivots, _ = real(a)
+            return h, pivots, []
 
-        monkeypatch.setattr(intlin, "column_hermite_normal_form", identity_transform)
+        monkeypatch.setattr(intlin, "_column_hermite", identity_transform)
         with pytest.raises(ArithmeticError, match="fails substitution"):
             solve_scaled(M([[2, 1]]), [(1,)])
         with pytest.raises(ArithmeticError, match="fails substitution"):
             solve_integer(M([[2, 1]]), (1,))
+
+    @given(degenerate_matrices(), st.data())
+    @settings(max_examples=100)
+    def test_solve_scaled_is_v_times_the_back_substitution(self, a, data):
+        # the Hermite log replayed onto each y against the V that
+        # column_hermite_normal_form builds; b / gcd(b) can need d > 1
+        xs = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=a.cols,
+                                         max_size=a.cols), max_size=3))
+        rhs = [a.apply(x) for x in xs]
+        rhs += [tuple(t // (vector_gcd(b) or 1) for t in b) for b in rhs]
+        h, v, pivots = column_hermite_normal_form(a)
+        found = [back_substitute(h.entries, pivots, b, a.cols) for b in rhs]
+        d = lcm(*(dj for dj, _ in found))
+        assert solve_scaled(a, rhs) == (d, [v.apply([d // dj * t for t in y]) for dj, y in found])
 
     @given(matrices, st.data())
     def test_membership_routes_agree(self, a, data):
@@ -501,11 +519,12 @@ class TestConstruction:
             h, v, _ = column_hermite_normal_form(a)
             canonical = lattice_canonical_form(a)
             assert len(built) == 5
-            # the Smith form's check multiplies twice; saturation adds A * V
+            # the Smith form's check multiplies twice; a saturation builds
+            # only its basis, its certificate runs on row lists
             snf = smith_normal_form(a)
             assert len(built) == 5 + 3 + 2
             sat = saturation_basis(a)
-            assert len(built) == 10 + 5 + 2
+            assert len(built) == 10 + 1
         results = [t, product, h, v, canonical, snf.U, snf.D, snf.V, sat]
         assert all(any(r is b for b in built) for r in results)
         assert all(type(x) is int for r in results for row in r.entries for x in row)
@@ -543,27 +562,61 @@ class TestSaturationAndInverse:
     @given(degenerate_matrices())
     @settings(max_examples=100)
     def test_saturation_is_the_leading_columns_of_u_inverse(self, a):
+        # U^-1 by rational Gauss-Jordan elimination, not by the library
         s = smith_normal_form(a)
-        u_inv = invert_unimodular(s.U)
-        assert saturation_basis(a) == IntMatrix.from_columns(
-            [u_inv.column(i) for i in range(s.rank())], rows=a.rows)
+        u_inv = inverse_fraction_gauss_jordan(s.U.entries)
+        assert [list(row) for row in saturation_basis(a).entries] == [
+            row[:s.rank()] for row in u_inv]
 
     @pytest.mark.parametrize("corrupt", ["factor", "past_rank"])
     def test_corrupt_smith_form_raises_arithmetic_error(self, corrupt, monkeypatch):
-        real = intlin.smith_normal_form
+        real = intlin._smith_elimination
 
         def corrupted(a):
-            s = real(a)
+            D, rows, cols = real(a)
             if corrupt == "factor":
-                # d_1 = 3 does not divide A * v_1
-                diag = [3] + list(s.D.diagonal_entries()[1:])
-                return intlin.SnfResult(s.U, IntMatrix.diagonal(diag), s.V)
+                # a logged row operation that triples row 0: U^-1 is not
+                # unimodular
+                return D, rows + [(0, 1, 3, 0, 1, 0)], cols
             # rank 1 claimed for a rank-2 matrix
-            return intlin.SnfResult(s.U, IntMatrix.diagonal([1, 0]), s.V)
+            D[1][1] = 0
+            return D, rows, cols
 
-        monkeypatch.setattr(intlin, "smith_normal_form", corrupted)
+        monkeypatch.setattr(intlin, "_smith_elimination", corrupted)
         with pytest.raises(ArithmeticError):
             saturation_basis(M([[1, 0], [0, 2]]))
+
+    @pytest.mark.parametrize("fault, message", [
+        ("doubled_column", "not unimodular"), ("rank_too_large", "Bareiss rank"),
+        ("misses_span", "miss the span")])
+    def test_certificate_rejects_a_wrong_basis(self, fault, message, monkeypatch):
+        # each part of the certificate on its own: |det W| = 1, the Bareiss
+        # rank of A, and rank [B | A] = rho, for W = U^-1 and B its first
+        # rho columns
+        real_elimination, real_replay = intlin._smith_elimination, intlin._replay
+
+        def elimination(a):
+            D, rows, cols = real_elimination(a)
+            if fault == "rank_too_large":
+                D[1][1] = 1
+            return D, rows, cols
+
+        def replay(log, rows, how=""):
+            # saturation_basis replays W^T, whose rows are the columns of W
+            Wt = real_replay(log, rows, how)
+            if fault == "doubled_column":
+                Wt[0] = [2 * x for x in Wt[0]]
+            elif fault == "misses_span":
+                Wt[0], Wt[-1] = Wt[-1], Wt[0]
+            return Wt
+
+        monkeypatch.setattr(intlin, "_smith_elimination", elimination)
+        monkeypatch.setattr(intlin, "_replay", replay)
+        a = M([[1, 2], [2, 4], [0, 0]])
+        with pytest.raises(ArithmeticError, match=message):
+            saturation_basis(a)
+        monkeypatch.undo()
+        assert saturation_basis(a) == M([[1], [2], [0]])
 
     def test_saturation_of_doubled_lattice(self):
         sat = saturation_basis(M([[2], [0]]))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pathlib
@@ -39,3 +40,49 @@ def test_export_refuses_an_option_like_argument(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("usage: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_run(pair, side, seed, ops, p50, digest="d", failed=0):
+    metrics = {"ops_per_s": ops, "latency_p50_ms": p50}
+    return {"pair": pair, "side": side, "workload": "w", "seed": seed, "outputs_sha256": digest,
+            "result": {"failed": failed,
+                       "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}}
+
+
+def test_bench_pairs_summary_counts_wins_and_quartiles():
+    runs = []
+    for pair, (parent, change) in enumerate([(100, 120), (110, 118), (105, 105), (90, 130)]):
+        runs += [canned_run(pair, "parent", 1 + pair % 2, parent, 1000 / parent),
+                 canned_run(pair, "change", 1 + pair % 2, change, 1000 / change)]
+    runs.append(canned_run(4, "parent", 1, 1, 1))            # an unfinished pair is left out
+    summary = load_bench_pairs().summarize(
+        runs, {"ops_per_s": "higher", "latency_p50_ms": "lower"})["w"]
+    assert summary["pairs"] == 4
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    assert summary["outputs_equal"] is True
+    ops = summary["metrics"]["ops_per_s"]
+    # the tie (105, 105) counts for neither side
+    assert ops["wins"] == 3
+    assert ops["parent"] == {"q1": 97.5, "median": 102.5, "q3": 106.25}
+    assert ops["change"]["median"] == 119
+    assert ops["median_gain_exceeds_parent_iqr"] is True
+    assert summary["metrics"]["latency_p50_ms"]["wins"] == 3
+
+
+def test_bench_pairs_summary_flags_different_outputs_and_failures():
+    runs = [canned_run(0, "parent", 1, 100, 10), canned_run(0, "change", 1, 101, 10, digest="e"),
+            canned_run(1, "parent", 2, 100, 10), canned_run(1, "change", 2, 99, 11, failed=2)]
+    summary = load_bench_pairs().summarize(runs, {"ops_per_s": "higher"})["w"]
+    assert summary["outputs_equal"] is False
+    assert summary["failed"] == {"parent": 0, "change": 2}
+    ops = summary["metrics"]["ops_per_s"]
+    assert ops["wins"] == 1
+    # a median gain of 0 does not exceed the parent's spread of 0
+    assert ops["median_gain_exceeds_parent_iqr"] is False

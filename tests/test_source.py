@@ -42,7 +42,7 @@ def test_every_import_is_used():
 
 
 def test_no_module_imports_a_private_name_of_another():
-    # helpers such as intlin's _back_substitute and _column_hermite stay
+    # helpers such as intlin's _column_hermite and _replay stay
     # behind their module's public functions
     files = sorted(Path(coxtoric.__file__).parent.glob("*.py"))
     private = [f"{path.name}:{node.lineno} {alias.name}" for path in files
