@@ -8,7 +8,8 @@ Usage (from the root of a checkout):
 
 Each WORKLOAD:PAIRS argument asks for that many pairs of
 `perfbench/run.py --workload WORKLOAD --seed S --seconds T --trace 0` runs,
-with S taken in turn from --seeds.  One side of a pair runs in a copy of
+with S taken in turn from 1, 2, 3 and T the `run_seconds` of BENCHMARK.json,
+the same on both sides.  One side of a pair runs in a copy of
 revision REV, extracted with `git archive` into a temporary directory, the
 other in the working tree; the side that runs first alternates from pair to
 pair.  Each side imports from its own fresh bytecode: its runs get their own
@@ -34,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
 WARM = ("import os, sys; sys.path[:0] = [os.path.abspath('perfbench'), os.path.abspath('src')]; "
         "import run; run.load_package()")
 
@@ -113,18 +115,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seeds", default="1,2,3")
-    parser.add_argument("--seconds", type=float,
-                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     parser.add_argument("plan", nargs="+", metavar="WORKLOAD:PAIRS")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
     plan = [(w, int(n)) for w, n in (item.split(":") for item in args.plan)]
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
     report = {
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0",
         "parent_revision": git("rev-parse", args.parent).decode().strip(),
         "change_revision": git("rev-parse", "HEAD").decode().strip()
@@ -137,7 +136,12 @@ def main(argv=None):
         parent_root = Path(tmp) / "parent"
         parent_root.mkdir()
         with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", args.parent))) as tar:
-            tar.extractall(parent_root)
+            # the "data" filter where this Python has it, so that extraction
+            # does not depend on the version's default
+            if hasattr(tarfile, "data_filter"):
+                tar.extractall(parent_root, filter="data")
+            else:
+                tar.extractall(parent_root)
         sides = {"parent": parent_root, "change": ROOT}
         envs = {}
         for side, root in sides.items():
@@ -149,10 +153,10 @@ def main(argv=None):
         pair = 0
         for workload, count in plan:
             for k in range(count):
-                seed = seeds[k % len(seeds)]
+                seed = SEEDS[k % len(SEEDS)]
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for position, side in enumerate(order):
-                    run = run_side(sides[side], envs[side], workload, seed, args.seconds)
+                    run = run_side(sides[side], envs[side], workload, seed, seconds)
                     report["runs"].append({"pair": pair, "side": side, "first": position == 0,
                                            "workload": workload, "seed": seed, **run})
                     print(f"pair {pair} {workload} seed {seed} {side}: ops_per_s "

@@ -21,7 +21,7 @@ from .errors import HypothesisError, ShapeError
 from .intlin import (
     IntMatrix,
     Vector,
-    back_substitute,
+    canonical_lattice_membership,
     cokernel_invariants,
     kernel_basis,
     lattice_canonical_form,
@@ -51,12 +51,6 @@ class DiagonalizableSubgroup:
     def canonical_relations(self) -> IntMatrix:
         """Canonical basis of the relation lattice, taken once per subgroup."""
         return lattice_canonical_form(self.relations)
-
-    @cached_property
-    def _pivots(self) -> tuple[tuple[int, int], ...]:
-        """(row, column) pivots of `canonical_relations`: each column's first nonzero row."""
-        return tuple((next(i for i, x in enumerate(column) if x), c)
-                     for c, column in enumerate(self.canonical_relations.columns()))
 
     @staticmethod
     def full_torus(ambient: int) -> DiagonalizableSubgroup:
@@ -221,8 +215,7 @@ def centralizes_torus(g: MonomialMatrix, group: DiagonalizableSubgroup) -> bool:
         if pi == i:
             continue
         chi = [(k == i) - (k == pi) for k in range(g.size)]
-        found = back_substitute(H.entries, group._pivots, chi, H.cols)
-        if found is None or found[0] != 1:
+        if not canonical_lattice_membership(H, chi):
             return False
     return True
 

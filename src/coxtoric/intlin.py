@@ -6,16 +6,16 @@ cokernel invariant factors, lattice membership, and integer linear
 system solving.  No floats anywhere; rationals appear only as inputs
 to membership-style predicates elsewhere.
 
-One Smith elimination and one column Hermite elimination serve every
-caller.  Each eliminates only its matrix and logs its operations; a
-transform is the log replayed onto just what the caller reads.  Membership,
-divisibility index and integer solving are one back-substitution per
-right-hand side against one column Hermite form.  Results are certified by
-explicit checks that raise ArithmeticError: `smith_normal_form` checks
-U*A*V = D, `kernel_basis` checks A*K = 0 and the kernel's rank against an
-independent Bareiss rank, `saturation_basis` checks |det U^-1| = 1 and two
-Bareiss ranks, `solve_scaled` checks every column of its solution by
-substitution and `invert_unimodular` checks A*V = I.
+One Smith elimination and one column Hermite elimination serve every caller.
+Each eliminates only its matrix and logs its operations; a transform is the
+log replayed onto just what the caller reads.  Membership, divisibility
+index and integer solving are one back-substitution per right-hand side
+against one column Hermite form (or a given echelon basis).  Results are
+certified by explicit checks that raise ArithmeticError: `smith_normal_form`
+checks U*A*V = D, `kernel_basis` checks A*K = 0 and the kernel's rank
+against an independent Bareiss rank, `saturation_basis` checks
+|det U^-1| = 1 and two Bareiss ranks, `solve_scaled` checks every column of
+its solution by substitution and `invert_unimodular` checks A*V = I.
 """
 
 from __future__ import annotations
@@ -414,26 +414,28 @@ def lattice_canonical_form(a: IntMatrix) -> IntMatrix:
     return _built([row[:len(pivots)] for row in H], len(pivots))
 
 
-def back_substitute(H: Sequence[Sequence[int]], pivots, b: Sequence[int], cols: int):
+def _back_substitute(H: Sequence[Sequence[int]], b: Sequence[int], cols: int):
     """Least d >= 1 and integer y, zero off the pivot columns, with H*y = d*b
-    for the rows H and (row, column) pivots of a column Hermite form, as
-    (d, y); None off the span of H.  A pivot that fails to divide its row's
-    remainder r scales d and y by piv / gcd(r, piv), the least such factor."""
+    for the rows H of a column echelon form, as (d, y); None off the span of H.
+    Row i's pivot is its entry in column len(y), the number of pivots above;
+    ValueError if the row is nonzero past it.  A pivot that fails to divide its
+    row's remainder r scales d and y by |piv| / gcd(r, piv), the least factor."""
     if len(b) != len(H):
         raise ShapeError(f"vector of length {len(b)} for a lattice in Z^{len(H)}")
-    pivot_rows = {i for i, _ in pivots}
     d = 1
     y: list[int] = []
     for i, row in enumerate(H):
-        # row i is zero from column len(y) on, except at its own pivot
+        c = len(y)
+        if any(row[c + 1:]):
+            raise ValueError(f"row {i} of a basis is nonzero past column {c}: not column echelon")
         r = d * b[i] - sum(map(mul, row, y))
-        if i not in pivot_rows:
+        if c == cols or not row[c]:
             if r:
                 return None
             continue
-        piv = row[len(y)]
+        piv = row[c]
         if r % piv:
-            s = piv // gcd(r, piv)
+            s = abs(piv) // gcd(r, piv)
             d, r = d * s, r * s
             y = [s * x for x in y]
         y.append(r // piv)
@@ -446,8 +448,8 @@ def solve_scaled(a: IntMatrix, rhs: Sequence[Sequence[int]]) -> tuple[int, list[
     rational span.  One Hermite elimination H = A*V serves every b_j:
     H*y_j = d_j*b_j for its back-substitution y_j, so x_j = V*((d/d_j)*y_j),
     V's log replayed onto y_j.  Each x_j is verified by substitution."""
-    H, pivots, log = _column_hermite(a)
-    found = [back_substitute(H, pivots, b, a.cols) for b in rhs]
+    H, _, log = _column_hermite(a)
+    found = [_back_substitute(H, b, a.cols) for b in rhs]
     if None in found:
         return None
     d = lcm(*(dj for dj, _ in found))
@@ -460,8 +462,7 @@ def solve_scaled(a: IntMatrix, rhs: Sequence[Sequence[int]]) -> tuple[int, list[
 
 
 def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vector | None:
-    """One integer solution of A*x = b, or None: the one-column case of
-    `solve_scaled` when its d is 1."""
+    """One integer solution of A*x = b, or None: `solve_scaled` at one column and d = 1."""
     found = solve_scaled(a, [b])
     return found[1][0] if found is not None and found[0] == 1 else None
 
@@ -471,13 +472,20 @@ def lattice_membership(L: IntMatrix, v: Sequence[int]) -> bool:
     return divisibility_index(L, v) == 1
 
 
+def canonical_lattice_membership(H: IntMatrix, v: Sequence[int]) -> bool:
+    """`lattice_membership` for a basis H in column echelon form, as
+    `lattice_canonical_form` returns it, without reducing H again;
+    ValueError if H is not in that form."""
+    found = _back_substitute(H.entries, v, H.cols)
+    return found is not None and found[0] == 1
+
+
 def divisibility_index(L: IntMatrix, v: Sequence[int]) -> int | None:
-    """Smallest d >= 1 with d*v in the column lattice of L; None iff v is
-    not even in the rational span of the columns.  d comes from the
-    back-substitution shared with `solve_scaled`, against L's Hermite form,
-    whose column log is not read."""
-    H, pivots, _ = _column_hermite(L)
-    found = back_substitute(H, pivots, v, L.cols)
+    """Smallest d >= 1 with d*v in the column lattice of L; None iff v is not even
+    in the rational span of the columns.  d comes from the back-substitution shared
+    with `solve_scaled`, against L's Hermite form, whose column log is not read."""
+    H = _column_hermite(L)[0]
+    found = _back_substitute(H, v, L.cols)
     return None if found is None else found[0]
 
 

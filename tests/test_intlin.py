@@ -9,7 +9,7 @@ from coxtoric import intlin
 from coxtoric.errors import InvalidRayError, ShapeError
 from coxtoric.intlin import (
     IntMatrix,
-    back_substitute,
+    canonical_lattice_membership,
     cokernel_invariants,
     column_hermite_normal_form,
     divisibility_index,
@@ -434,8 +434,8 @@ class TestMembershipAndSolve:
                                          max_size=a.cols), max_size=3))
         rhs = [a.apply(x) for x in xs]
         rhs += [tuple(t // (vector_gcd(b) or 1) for t in b) for b in rhs]
-        h, v, pivots = column_hermite_normal_form(a)
-        found = [back_substitute(h.entries, pivots, b, a.cols) for b in rhs]
+        h, v, _ = column_hermite_normal_form(a)
+        found = [intlin._back_substitute(h.entries, b, a.cols) for b in rhs]
         d = lcm(*(dj for dj, _ in found))
         assert solve_scaled(a, rhs) == (d, [v.apply([d // dj * t for t in y]) for dj, y in found])
 
@@ -455,6 +455,7 @@ class TestMembershipAndSolve:
         index = divisibility_index(a, v)
         assert index == smith_index
         assert lattice_membership(a, v) == (index == 1)
+        assert canonical_lattice_membership(lattice_canonical_form(a), v) == (index == 1)
         if index is not None:
             assert lattice_membership(a, [index * x for x in v])
 
@@ -467,6 +468,20 @@ class TestMembershipAndSolve:
         # has coefficients far inside the oracle's search box
         v = data.draw(st.lists(st.integers(-2, 2), min_size=a.rows, max_size=a.rows))
         assert divisibility_index(a, v) == brute_divisibility_index(a.columns(), v)
+
+    @pytest.mark.parametrize("basis", [[[0, 1], [1, 0]], [[1, 1], [0, 1]]],
+                             ids=["pivot_rows_unordered", "row_echelon"])
+    def test_canonical_membership_rejects_a_basis_out_of_form(self, basis):
+        with pytest.raises(ValueError, match="not column echelon"):
+            canonical_lattice_membership(M(basis), (1, 1))
+
+    def test_canonical_membership_needs_only_echelon_form(self):
+        # a negative pivot, an unreduced entry and a zero column leave the
+        # lattice and the verdict as they are
+        H = M([[-2, 0, 0], [3, 1, 0]])
+        assert canonical_lattice_membership(H, (2, 0)) is True
+        assert canonical_lattice_membership(H, (1, 0)) is False
+        assert canonical_lattice_membership(H, (0, 5)) is True
 
     def test_takes_no_normal_form_with_transforms(self, count_calls):
         calls = count_calls(intlin, "smith_normal_form", "column_hermite_normal_form")
