@@ -259,18 +259,13 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with `command`'s alone when it
-    names one; the usage line lists every subcommand either way."""
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="coxtoric",
         description="Exact quotient presentations of toric varieties from fan data")
-    one = command in _SUBCOMMANDS
-    # the full parser keeps no metavar: its errors name the argument "command"
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(_SUBCOMMANDS) + "}" if one else None)
-    for name in [command] if one else _SUBCOMMANDS:
-        func, help_text, positional, *option = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, positional, *option) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(positional)
@@ -280,9 +275,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; parsing a request leaves it unchanged
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _PARSER.parse_args(argv)
     # derived integers are written exactly, however long: lift the cap that
     # Python 3.10.7+ puts on int <-> str conversion (0 = none) for this request
     previous_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

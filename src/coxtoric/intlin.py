@@ -34,7 +34,7 @@ def dot(u: Sequence, v: Sequence):
     """Inner product; works for int and Fraction entries alike."""
     if len(u) != len(v):
         raise ShapeError(f"dot of length {len(u)} with length {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vector_gcd(v: Sequence[int]) -> int:

@@ -1,15 +1,20 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coxtoric
 from coxtoric.cli import build_parser, main
 from coxtoric.cones import cone_from_rays
 from coxtoric.corpus import affine_space, corpus_fans
@@ -505,32 +510,53 @@ SUBCOMMAND_NAMES = ["validate", "properties", "cox", "classgroup", "lift", "diag
 
 
 class TestParser:
-    """A request builds only its subcommand's parser; what it prints and
-    how it exits are those of the parser with every subcommand."""
+    """One parser, with every subcommand, is built when `coxtoric.cli` is
+    imported and parses every request; what it prints and how it exits are
+    those of a freshly built parser, however many requests it has parsed."""
 
     @pytest.mark.parametrize("argv", [[name, flag] for name in SUBCOMMAND_NAMES
                                       for flag in ("--help", "--json")])
     def test_help_and_missing_argument_match_the_full_parser(self, argv):
         expected = exit_and_streams(lambda a: build_parser().parse_args(a), argv)
         assert expected[0] in (0, 2)
-        assert exit_and_streams(main, argv) == expected
+        assert [exit_and_streams(main, argv) for _ in range(2)] == [expected] * 2
 
     @pytest.mark.parametrize("argv", [[], ["--help"], ["--json"], ["bogus"], ["co", "x"],
                                       ["cox", "x", "y"], ["lift", "x"], ["-h", "cox"]])
     def test_other_requests_match_the_full_parser(self, argv):
         expected = exit_and_streams(lambda a: build_parser().parse_args(a), argv)
-        assert exit_and_streams(main, argv) == expected
+        assert [exit_and_streams(main, argv) for _ in range(2)] == [expected] * 2
 
-    def test_a_request_builds_one_subparser(self, fan_files, monkeypatch):
+    def test_the_parser_is_built_once_per_process(self, fan_files, monkeypatch):
         built = []
         real = argparse._SubParsersAction.add_parser
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
                             lambda self, name, **kw: built.append(name) or real(self, name, **kw))
-        assert exit_and_streams(main, ["validate", fan_files["p2"]])[0] == 0
-        assert built == ["validate"]
-        built.clear()
-        assert exit_and_streams(main, ["--help"])[0] == 0
+        # import a fresh copy of the module; the original is put back afterwards
+        monkeypatch.delitem(sys.modules, "coxtoric.cli")
+        monkeypatch.setattr(coxtoric, "cli", coxtoric.cli)
+        cli = importlib.import_module("coxtoric.cli")
         assert built == SUBCOMMAND_NAMES
+        built.clear()
+        assert exit_and_streams(cli.main, ["validate", fan_files["p2"]])[0] == 0
+        assert exit_and_streams(cli.main, ["--help"])[0] == 0
+        assert built == []
+
+    def test_python_m_coxtoric_answers_like_main(self, fan_files, tmp_path, monkeypatch):
+        # a pipeline request of tests/golden/cli_pipeline.json, and an
+        # argparse error
+        golden = json.loads((Path(__file__).parent / "golden" / "cli_pipeline.json").read_text())
+        weights = write(tmp_path, "w.json", {"rank": 1, "weights": [[1, 0, 0]]})
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "PYTHONPATH": str(Path(coxtoric.__file__).parent.parent)}
+        pipeline = ["pipeline", fan_files["bl0_a2"], "--weights", weights, "--json"]
+        expected = [exit_and_streams(main, argv) for argv in (pipeline, ["cox"])]
+        assert expected[0][:2] == (0, golden["bl0_a2"]["stdout"])
+        assert expected[1][0] == 2
+        for argv, streams in zip((pipeline, ["cox"]), expected):
+            child = subprocess.run([sys.executable, "-m", "coxtoric", *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert (child.returncode, child.stdout, child.stderr) == streams
 
     def test_no_argv_reads_the_command_line(self, fan_files, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["coxtoric", "validate", fan_files["p2"]])

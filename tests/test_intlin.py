@@ -13,6 +13,7 @@ from coxtoric.intlin import (
     cokernel_invariants,
     column_hermite_normal_form,
     divisibility_index,
+    dot,
     invert_unimodular,
     kernel_basis,
     kernel_generator,
@@ -174,11 +175,15 @@ class TestProducts:
             M([[1, 2]]) @ M([[1, 2]])
         with pytest.raises(ShapeError):
             M([[1, 2]]).apply((1, 2, 3))
+        with pytest.raises(ShapeError):
+            dot((1, 2), (1, 2, 3))
 
     def test_apply_to_fractions(self):
         image = M([[2, 4], [0, 3]]).apply((Fraction(1, 2), Fraction(-1, 4)))
         assert image == (Fraction(0), Fraction(-3, 4))
         assert M([[2, 4], [0, 3]]).apply((Fraction(1, 2), 0)) == (1, 0)
+        assert dot((2, 3), (Fraction(1, 2), Fraction(-1, 3))) == 0
+        assert dot((Fraction(1, 3), 1), (Fraction(1, 2), 2)) == Fraction(13, 6)
 
 
 class TestDeterminant:
