@@ -54,6 +54,8 @@ def _load_json(path: str):
         raise InputError(f"{path}: not UTF-8 text: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply")
 
 
 def _load_fan(path: str) -> Fan:

@@ -15,18 +15,18 @@ elimination).  The other direction reuses the search by duality:
 generators, and `Cone.intersect` finds those of an intersection as the
 facet normals of the sum of the two dual cones.
 
-The combinatorics is read off one facet-ray incidence, `Cone.facet_rays`
-(which rays each facet normal vanishes on), computed once per cone: the
-faces are the intersections of the facet ray sets (`Cone.faces` returns
-ray tuples and builds no cone), and callers in `fans` read walls and
-boundary facets off the same incidence.  A generator's extreme-ray test
-compares the sets of facets vanishing on the generators, with no rank.
+The combinatorics is read off one facet-ray incidence, the field
+`Cone.facet_rays` (for each facet normal, the rays it vanishes on), which
+`cone_from_rays` keeps from its extreme-ray test: a generator is extreme iff
+no other lies on every facet it lies on, with no rank.  The faces are the
+intersections of the facet ray sets (`Cone.faces` returns ray tuples and
+builds no cone; `Cone.is_face_of` looks a ray set up among them), and
+callers in `fans` read walls and boundary facets off the same incidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -34,13 +34,13 @@ from .errors import InvalidRayError, ShapeError, StrongConvexityError
 from .intlin import (
     IntMatrix,
     Vector,
+    cokernel_invariants,
     dot,
     kernel_basis,
     kernel_generator,
     lattice_canonical_form,
     primitive_vector,
     saturation_basis,
-    smith_normal_form,
 )
 
 
@@ -96,6 +96,7 @@ class Cone:
     rays: tuple[Vector, ...]
     facet_normals: tuple[Vector, ...]
     span_equations: tuple[Vector, ...]
+    facet_rays: tuple[tuple[Vector, ...], ...]
 
     def __eq__(self, other):
         if not isinstance(other, Cone):
@@ -120,8 +121,8 @@ class Cone:
         """Whether the ray generators extend to a basis of the lattice."""
         if not self.is_simplicial():
             return False
-        snf = smith_normal_form(IntMatrix.from_columns(self.rays, rows=self.ambient_rank))
-        return all(d == 1 for d in snf.invariant_factors())
+        _, torsion = cokernel_invariants(IntMatrix.from_columns(self.rays, rows=self.ambient_rank))
+        return not torsion
 
     def contains_point(self, point: Sequence) -> bool:
         """Exact membership for integer or Fraction coordinates."""
@@ -131,27 +132,11 @@ class Cone:
                 and all(dot(u, point) >= 0 for u in self.facet_normals))
 
     def is_face_of(self, other: Cone) -> bool:
-        """Whether this cone is a face of `other`.
-
-        True iff it sits inside `other` and equals the face of `other` cut
-        out by all facet normals of `other` vanishing on it.
-        """
+        """Whether this cone is a face of `other`: whether its rays are the
+        rays of one of the faces of `other`."""
         if self.ambient_rank != other.ambient_rank:
             raise ShapeError("cones live in different ranks")
-        if not all(other.contains_point(r) for r in self.rays):
-            return False
-        active = [u for u in other.facet_normals
-                  if all(dot(u, r) == 0 for r in self.rays)]
-        face_rays = frozenset(r for r in other.rays
-                              if all(dot(u, r) == 0 for u in active))
-        return frozenset(self.rays) == face_rays
-
-    @cached_property
-    def facet_rays(self) -> tuple[tuple[Vector, ...], ...]:
-        """The facet–ray incidence: for each facet normal, in order, the
-        rays on which it vanishes, in the order of `rays`."""
-        return tuple(tuple(r for r in self.rays if dot(u, r) == 0)
-                     for u in self.facet_normals)
+        return frozenset(self.rays) in {frozenset(f) for f in other.faces()}
 
     def faces(self) -> list[tuple[Vector, ...]]:
         """The rays of every face, each face once: the cone itself first,
@@ -189,7 +174,7 @@ class Cone:
 
 def zero_cone(rank: int) -> Cone:
     normals, eqs = dual_constraints(rank, [])
-    return Cone(rank, (), tuple(normals), tuple(eqs))
+    return Cone(rank, (), tuple(normals), tuple(eqs), ())
 
 
 def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
@@ -223,4 +208,5 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
     zeros = {g: {i for i, u in enumerate(normals) if dot(u, g) == 0} for g in gens}
     survivors = [g for g in gens
                  if not any(h != g and zeros[h] >= zeros[g] for h in gens)]
-    return Cone(rank, tuple(survivors), tuple(normals), tuple(eqs))
+    facet_rays = tuple(tuple(g for g in survivors if i in zeros[g]) for i in range(len(normals)))
+    return Cone(rank, tuple(survivors), tuple(normals), tuple(eqs), facet_rays)

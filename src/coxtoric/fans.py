@@ -15,10 +15,12 @@ decided on the maximal cones.  The face closure `all_cones` is held
 combinatorially, as ray-index tuples read off each maximal cone's
 facet-ray incidence (`Cone.faces`), and is built on first read.  Walls and
 boundary facets are read off one map from facet ray sets to the maximal
-cones having them (`_facet_incidence`).  A fan whose rays span a
-proper subspace is carried onto the span as is, without validating again.
-Convex support is decided wall by wall: a boundary wall's own facet normal
-must be >= 0 on every ray, so the hull of the rays is never computed.
+cones having them (`_facet_incidence`), read by `walls`, `is_complete` and
+the certificate.  A fan whose rays span a proper subspace is carried onto
+the span as is, without validating again.  Convex support is decided wall
+by wall: a boundary wall's own facet normal must be >= 0 on every ray, so
+the hull of the rays is never computed, and the witness, a step across the
+first failing wall, is built only by `convex_support_witness`.
 The ray order of a fan fixes coordinates downstream: it is the order of the
 file's `rays` list for a fan read by `fan_from_dict`, and the first-appearance
 order across the maximal cones for one built by `fan_from_max_cones`.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .cones import Cone, cone_from_rays, dual_constraints, zero_cone
 from .errors import FanValidationError, ShapeError, UnsupportedShapeError
@@ -87,14 +89,9 @@ class Fan:
         """The cones of dimension rank-1, each once: the facets of the
         full-dimensional covering cones and the covering cones of dimension
         rank-1, in the order of those cones and of their facet normals."""
-        return [Wall(cone_from_rays(self.rank, rays), incident)
-                for rays, incident in self._wall_incidence()]
-
-    def _wall_incidence(self) -> Iterator[tuple[tuple[Vector, ...], tuple[int, ...]]]:
-        """The rays of each wall, in the order of `walls`, with the indices
-        of the maximal cones having it as a face (the zero cone has none)."""
-        for entries in _facet_incidence(self.rank, self._covering_cones()).values():
-            yield entries[0][1], tuple(i for i, _, _ in entries) if self.max_cones else ()
+        return [Wall(cone_from_rays(self.rank, entries[0][1]),
+                     tuple(i for i, _, _ in entries) if self.max_cones else ())
+                for entries in _facet_incidence(self.rank, self._covering_cones()).values()]
 
     def is_complete(self) -> bool:
         """Whether the fan's support is the whole space.
@@ -102,11 +99,9 @@ class Fan:
         Requires the fan to be pure full-dimensional with every wall shared
         by exactly two maximal cones; non-pure fans return False.
         """
-        if not self.max_cones:
+        if not self.max_cones or any(c.dim != self.rank for c in self.max_cones):
             return False
-        if any(c.dim != self.rank for c in self.max_cones):
-            return False
-        return all(len(incident) == 2 for _, incident in self._wall_incidence())
+        return all(len(e) == 2 for e in _facet_incidence(self.rank, self.max_cones).values())
 
     def has_convex_support(self) -> bool:
         """Whether the support (union of the cones) is itself a convex cone.
@@ -122,25 +117,25 @@ class Fan:
         first reduced to it; if the fan is not pure full-dimensional after
         reduction, UnsupportedShapeError is raised.
         """
-        convex, _ = self._convex_support_analysis()
-        return convex
+        return self._breach() is None
 
     def convex_support_witness(self) -> tuple[Fraction, ...] | None:
         """A rational point in cone(all rays) but outside the support, when
         the support is not convex; None when it is."""
-        _, witness = self._convex_support_analysis()
-        return witness
+        breach = self._breach()
+        return None if breach is None else self._boundary_witness(*breach)
 
-    def _convex_support_analysis(self):
+    def _breach(self) -> tuple | None:
+        """(its rays, the ray) for the first boundary wall whose normal is
+        negative on a ray, in this fan's own rays; None when there is none."""
         if not self.rays:
-            return True, None
+            return None
         ray_matrix = IntMatrix.from_columns(self.rays, rows=self.rank)
         span_dim = ray_matrix.rank()
         if span_dim < self.rank:
-            # coordinates on the saturated span are a lattice isomorphism
-            # onto Z^span_dim, so the image of this validated fan is a fan
-            basis = saturation_basis(ray_matrix)
-            solved = solve_scaled(basis, self.rays)
+            # coordinates on the saturated span are a lattice isomorphism onto
+            # Z^span_dim, so this validated fan's image is a fan with its breach
+            solved = solve_scaled(saturation_basis(ray_matrix), self.rays)
             if solved is None or solved[0] != 1:
                 raise ArithmeticError("the rays have no coordinates in their saturated span")
             coords = dict(zip(self.rays, solved[1]))
@@ -148,17 +143,17 @@ class Fan:
                           tuple(cone_from_rays(span_dim, [coords[r] for r in mc.rays])
                                 for mc in self.max_cones),
                           tuple(coords.values()))
-            convex, witness = reduced._convex_support_analysis()
-            if witness is not None:
-                witness = tuple(basis.apply(witness))
-            return convex, witness
+            breach = reduced._breach()
+            if breach is None:
+                return None
+            ray_of = dict(zip(solved[1], self.rays))
+            wall_rays, below = breach
+            return tuple(ray_of[r] for r in wall_rays), ray_of[below]
 
         if any(c.dim != self.rank for c in self.max_cones):
             raise UnsupportedShapeError(
                 "support is not pure full-dimensional; convexity not certified")
-
-        breach = _boundary_breach(_facet_incidence(self.rank, self.max_cones), self.rays)
-        return breach is None, None if breach is None else self._boundary_witness(*breach)
+        return _boundary_breach(_facet_incidence(self.rank, self.max_cones), self.rays)
 
     def _boundary_witness(self, wall_rays, below: Vector) -> tuple[Fraction, ...]:
         """A point of cone(all rays) outside the support: x0 + below/2^j for

@@ -447,6 +447,9 @@ class TestCliErrors:
                   "monomial_matrices": [{"perm": [0, 0], "scalars": [0, 0]}]},
          "(0, 0) is not a permutation of 0..1"),
         ("validate", {"rank": 0, "rays": [[]], "max_cones": [[0]]}, "ray 0 is zero"),
+        ("diag", {"rank": 1, "weights": [[1, -1]],
+                  "monomial_matrices": [{"perm": [1, 0], "scalars": ["1/0", 0]}]},
+         "bad scalar exponent"),
     ]
 
     @pytest.mark.parametrize("command, payload, message", MALFORMED,
@@ -457,15 +460,22 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
-    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "too-deep"])
     def test_unreadable_input_exits_2(self, kind, tmp_path, capsys):
         if kind == "directory":
             path = str(tmp_path)
-        else:
+        elif kind == "not-utf8":
             path = tmp_path / "bad.json"
             path.write_bytes(b"\xff\xfe\x00")
+        else:
+            # deeper than the recursion limit of the JSON decoder
+            path = tmp_path / "deep.json"
+            path.write_text("[" * 1100)
         assert main(["validate", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if kind == "too-deep":
+            assert err == f"error: {path}: JSON nested too deeply\n"
 
     def test_empty_fan_validates(self, tmp_path, capsys):
         path = write(tmp_path, "torus.json", {"rank": 1, "rays": [], "max_cones": []})

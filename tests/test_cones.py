@@ -71,6 +71,10 @@ class TestConstruction:
         with pytest.raises(InvalidRayError):
             cone_from_rays(2, [(0, 0)])
 
+    def test_generator_of_wrong_length_rejected(self):
+        with pytest.raises(ShapeError, match="generator of length 3 in rank 2"):
+            cone_from_rays(2, [(1, 0), (0, 1, 0)])
+
     def test_zero_cone(self):
         z = zero_cone(3)
         assert z.rays == ()
@@ -118,6 +122,8 @@ class TestRedundantGenerators:
         c, gens = case
         again = cone_from_rays(c.ambient_rank, gens)
         assert (again.facet_normals, again.span_equations) == (c.facet_normals, c.span_equations)
+        # the incidence holds the extreme rays only
+        assert list(map(set, again.facet_rays)) == list(map(set, c.facet_rays))
 
     @pytest.mark.parametrize("gens", [
         [(1, 0), (0, 1)],
@@ -393,6 +399,38 @@ class TestFaces:
         for fan in corpus.values():
             for c in fan.max_cones:
                 assert face_ray_sets(c) == subset_face_ray_sets(c)
+
+    def test_incidence_faces_and_face_relation_take_no_dot_product(self, count_calls):
+        # the incidence is kept from the extreme-ray test of cone_from_rays,
+        # and the face relation looks the rays up in the face lattice
+        c = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
+        facet = cone_from_rays(3, [(1, 0, 0), (0, 0, 1)])
+        diagonal = cone_from_rays(3, [(1, 0, 0), (0, 1, 0)])
+        calls = count_calls(cones, "dot")
+        assert len(c.facet_rays) == 4 and len(c.faces()) == 10
+        assert facet.is_face_of(c) and not diagonal.is_face_of(c)
+        assert calls == {"dot": 0}
+
+    @given(pointed_cone_triples())
+    @settings(max_examples=30)
+    def test_face_relation_agrees_with_dot_products(self, triple):
+        def by_dot_products(sigma, tau):
+            # sigma lies in tau and is the face of tau cut out by every
+            # facet normal of tau vanishing on sigma
+            if not all(tau.contains_point(r) for r in sigma.rays):
+                return False
+            active = [u for u in tau.facet_normals if all(dot(u, r) == 0 for r in sigma.rays)]
+            return frozenset(sigma.rays) == frozenset(
+                r for r in tau.rays if all(dot(u, r) == 0 for u in active))
+
+        for tau in triple:
+            rank = tau.ambient_rank
+            faces = [cone_from_rays(rank, rays) for rays in tau.faces()]
+            # cones on leading rays lie in tau but are seldom faces
+            inside = [cone_from_rays(rank, tau.rays[:k]) for k in range(2, len(tau.rays))]
+            for sigma in faces + inside + list(triple):
+                assert sigma.is_face_of(tau) == by_dot_products(sigma, tau)
+            assert all(f.is_face_of(tau) for f in faces)
 
     def test_facet_rays_are_the_zero_sets_of_the_normals(self):
         c = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])

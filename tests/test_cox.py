@@ -4,7 +4,7 @@ from math import comb, lcm
 
 import pytest
 
-from coxtoric import cli, cones, cox, groups, intlin
+from coxtoric import cli, cox, groups, intlin
 from coxtoric.cox import (
     ClassGroupElement,
     acts_freely,
@@ -264,7 +264,7 @@ class TestClassGroup:
         path.write_text(json.dumps(fan_to_dict(corpus["p112"])))
         qt = cox_presentation(corpus["p112"]).q_matrix.transpose()
         calls = []
-        for module in (intlin, cones, cox, groups):
+        for module in (intlin, cox, groups):
             monkeypatch.setattr(module, "smith_normal_form",
                                 lambda a, real=module.smith_normal_form: calls.append(a) or real(a))
         assert cli.main(["classgroup", str(path), "--json"]) == 0
@@ -278,6 +278,12 @@ class TestClassGroup:
         for residue in (2, -1):
             with pytest.raises(ShapeError, match="not reduced modulo"):
                 ClassGroupElement((), (residue,), (2,))
+
+    def test_adding_degrees_of_different_gradings_raises_hypothesis_error(self):
+        z2 = ClassGroupElement((1,), (1,), (2,))
+        for other in (ClassGroupElement((1,), (1,), (3,)), ClassGroupElement((1, 0), (1,), (2,))):
+            with pytest.raises(HypothesisError, match="different gradings"):
+                z2 + other
 
 
 class TestLiftSubtorus:

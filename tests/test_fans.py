@@ -396,6 +396,14 @@ class TestWallsAndCompleteness:
                 assert w.incident == tuple(i for i, mc in enumerate(fan.max_cones)
                                            if w.face.is_face_of(mc))
 
+    def test_walls_and_completeness_read_the_wall_map_directly(self, corpus, count_calls):
+        # one map from facet ray sets to cones, read with no wrapper between
+        for method in (fans.Fan.walls, fans.Fan.is_complete):
+            assert "_facet_incidence" in method.__code__.co_names
+        calls = count_calls(fans, "_facet_incidence")
+        assert corpus["p2"].is_complete() and len(corpus["p2"].walls()) == 3
+        assert calls == {"_facet_incidence": 2}
+
     def test_non_pure_returns_false(self):
         assert not punctured_plane_style_fan().is_complete()
 
@@ -505,6 +513,20 @@ class TestConvexSupport:
         verdicts = [f.has_convex_support() for f in fan_list]
         assert verdicts == [True] * (len(fan_list) - 1) + [False]
         assert calls == {"dual_constraints": 0}
+
+    def test_verdict_builds_no_witness(self, count_calls):
+        # only convex_support_witness steps across the failing wall, also
+        # for a fan that spans a proper subspace
+        flat = fan_from_max_cones(3, [cone_from_rays(3, [(*r, 0) for r in c.rays])
+                                      for c in three_quadrants().max_cones])
+        calls = count_calls(fans.Fan, "_boundary_witness")
+        for fan in (three_quadrants(), flat):
+            assert not fan.has_convex_support()
+        assert calls == {"_boundary_witness": 0}
+        # the wall on the ray (1, 0), one step toward the ray (0, -1)
+        assert three_quadrants().convex_support_witness() == (1, -1)
+        assert flat.convex_support_witness() == (1, -1, 0)
+        assert calls == {"_boundary_witness": 2}
 
     def test_span_coordinates_take_one_hermite_form(self, count_calls):
         # four rays in the plane z = 0 are solved against the saturated span

@@ -177,6 +177,10 @@ class TestProducts:
             M([[1, 2]]).apply((1, 2, 3))
         with pytest.raises(ShapeError):
             dot((1, 2), (1, 2, 3))
+        with pytest.raises(ShapeError, match="row of length 1 in a 2x2 matrix"):
+            IntMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(ShapeError, match="expected 3 rows, got 2"):
+            IntMatrix(3, 2, ((1, 2), (3, 4)))
 
     def test_apply_to_fractions(self):
         image = M([[2, 4], [0, 3]]).apply((Fraction(1, 2), Fraction(-1, 4)))
