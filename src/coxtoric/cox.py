@@ -80,8 +80,9 @@ class CoxPresentation:
     def _grading_snf(self) -> SnfResult:
         """Smith form U * Q^T * V = D, taken once per presentation; U maps
         exponent vectors to coordinates in which the grading group is the
-        product of the Z/d_i and Z^free.  Its rank is n iff the fan is nondegenerate."""
-        snf = smith_normal_form(self.q_matrix.transpose())
+        product of the Z/d_i and Z^free.  Its rank is n iff the fan is nondegenerate.
+        Q^T is H's relation matrix, so H's decomposition reads the same elimination."""
+        snf = smith_normal_form(self.kernel_group.relations)
         if snf.rank() != self.delta.rank:
             raise HypothesisError("class group requires a nondegenerate fan")
         return snf

@@ -6,21 +6,25 @@ cokernel invariant factors, lattice membership, and integer linear
 system solving.  No floats anywhere; rationals appear only as inputs
 to membership-style predicates elsewhere.
 
-One Smith elimination and one column Hermite elimination serve every caller.
-Each eliminates only its matrix and logs its operations; a transform is the
-log replayed onto just what the caller reads.  Membership, divisibility
-index and integer solving are one back-substitution per right-hand side
-against one column Hermite form (or a given echelon basis).  Results are
-certified by explicit checks that raise ArithmeticError: `smith_normal_form`
-checks U*A*V = D, `kernel_basis` checks A*K = 0 and the kernel's rank
-against an independent Bareiss rank, `saturation_basis` checks
+One Smith elimination, one column Hermite elimination and one Bareiss rank
+per `IntMatrix` instance serve every caller: each is taken on first request
+and kept on the instance, frozen into tuples; two equal matrices built
+separately eliminate separately.  An elimination logs its operations; a
+transform is the log replayed onto just what the caller reads.  Membership,
+divisibility index and integer solving are one back-substitution per
+right-hand side against one column Hermite form (or a given echelon basis).
+Results are certified by explicit checks that raise ArithmeticError:
+`smith_normal_form` checks U*A*V = D, `kernel_basis` checks A*K = 0 and the
+kernel's rank against an independent Bareiss rank, `saturation_basis` checks
 |det U^-1| = 1 and two Bareiss ranks, `solve_scaled` checks every column of
-its solution by substitution and `invert_unimodular` checks A*V = I.
+its solution by substitution and `invert_unimodular` checks A*V = I.  Each
+check runs on every call, whether the elimination was kept or taken anew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -137,9 +141,25 @@ class IntMatrix:
     def diagonal_entries(self) -> Vector:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
+    # Each elimination is taken once per instance, on first request, and
+    # kept frozen into tuples so that no caller can change another's.
+    @cached_property
+    def _rank(self) -> int:
+        return _bareiss([list(row) for row in self.entries], self.cols)[0]
+
+    @cached_property
+    def _smith(self) -> tuple[tuple[Vector, ...], tuple, tuple]:
+        D, rows, cols = _smith_elimination(self)
+        return tuple(map(tuple, D)), tuple(rows), tuple(cols)
+
+    @cached_property
+    def _hermite(self) -> tuple[tuple[Vector, ...], tuple, tuple]:
+        H, pivots, log = _column_hermite(self)
+        return tuple(map(tuple, H)), tuple(pivots), tuple(log)
+
     def rank(self) -> int:
         """Rank by fraction-free (Bareiss) elimination, independent of SNF."""
-        return _bareiss([list(row) for row in self.entries], self.cols)[0]
+        return self._rank
 
     def det(self) -> int:
         if self.rows != self.cols:
@@ -308,7 +328,8 @@ def _identity_rows(n: int) -> list[list[int]]:
 
 def _smith_elimination(a: IntMatrix):
     """The gcd-driven diagonalization behind every Smith form, on row lists:
-    (D, rows, cols), D = U*A*V and the row and column logs of U and V.
+    (D, rows, cols), D = U*A*V and the row and column logs of U and V; run
+    once per instance, through `IntMatrix._smith`.
     Pivots are chosen by minimal absolute value; whenever the current pivot
     fails to divide an entry of the remaining block, that entry's row is
     folded into the pivot row, which makes the resulting diagonal satisfy
@@ -356,7 +377,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Smith normal form with both transforms, each its log replayed forward;
     U*A*V = D is checked and an ArithmeticError raised if it fails."""
     m, n = a.rows, a.cols
-    D, rows, cols = _smith_elimination(a)
+    D, rows, cols = a._smith
     U = _built(zip(*_replay(rows, _identity_rows(m))), m)
     result = SnfResult(U, _built(D, n), _built(_replay(cols, _identity_rows(n)), n))
     if result.U @ a @ result.V != result.D:
@@ -366,7 +387,8 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
 def _column_hermite(a: IntMatrix):
     """Column Hermite reduction of A on row lists: (H, pivots, log), H = A*V
-    with its (row, column) pivots and the column log of V."""
+    with its (row, column) pivots and the column log of V; run once per
+    instance, through `IntMatrix._hermite`."""
     M, n = [list(row) for row in a.entries], a.cols
     pivots: list[tuple[int, int]] = []
     log: list[tuple[int, ...]] = []
@@ -403,14 +425,14 @@ def column_hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, tupl
     of H are a canonical basis of the column lattice of A, so equality of
     column lattices can be decided by comparing these forms.
     """
-    H, pivots, log = _column_hermite(a)
+    H, pivots, log = a._hermite
     return _built(H, a.cols), _built(_replay(log, _identity_rows(a.cols)), a.cols), pivots
 
 
 def lattice_canonical_form(a: IntMatrix) -> IntMatrix:
     """Canonical basis matrix of the column lattice of A (zero columns dropped):
     the Hermite form's pivot columns, which are its leading ones."""
-    H, pivots, _ = _column_hermite(a)
+    H, pivots, _ = a._hermite
     return _built([row[:len(pivots)] for row in H], len(pivots))
 
 
@@ -448,7 +470,7 @@ def solve_scaled(a: IntMatrix, rhs: Sequence[Sequence[int]]) -> tuple[int, list[
     rational span.  One Hermite elimination H = A*V serves every b_j:
     H*y_j = d_j*b_j for its back-substitution y_j, so x_j = V*((d/d_j)*y_j),
     V's log replayed onto y_j.  Each x_j is verified by substitution."""
-    H, _, log = _column_hermite(a)
+    H, _, log = a._hermite
     found = [_back_substitute(H, b, a.cols) for b in rhs]
     if None in found:
         return None
@@ -484,7 +506,7 @@ def divisibility_index(L: IntMatrix, v: Sequence[int]) -> int | None:
     """Smallest d >= 1 with d*v in the column lattice of L; None iff v is not even
     in the rational span of the columns.  d comes from the back-substitution shared
     with `solve_scaled`, against L's Hermite form, whose column log is not read."""
-    H = _column_hermite(L)[0]
+    H = L._hermite[0]
     found = _back_substitute(H, v, L.cols)
     return None if found is None else found[0]
 
@@ -498,10 +520,10 @@ def kernel_basis(a: IntMatrix) -> list[Vector]:
     len(K) = cols - that rank; ArithmeticError if either fails.
     """
     n = a.cols
-    rank = _bareiss([list(row) for row in a.entries], n)[0]
+    rank = a._rank
     if rank == n:
         return []
-    D, _, cols = _smith_elimination(a)
+    D, _, cols = a._smith
     rho = sum(1 for i in range(min(a.rows, n)) if D[i][i])
     kernel = list(map(tuple, _replay(cols, _identity_rows(n)[rho:], "T")))
     if len(kernel) != n - rank:
@@ -548,14 +570,14 @@ def saturation_basis(a: IntMatrix) -> IntMatrix:
     so B spans span_Q(A).  ArithmeticError otherwise.
     """
     m, n = a.rows, a.cols
-    D, rows, _ = _smith_elimination(a)
+    D, rows, _ = a._smith
     rho = sum(1 for i in range(min(m, n)) if D[i][i])
     Wt = _replay(rows, _identity_rows(m), "inv")
     basis = [[column[i] for column in Wt[:rho]] for i in range(m)]
     rank, det, _ = _bareiss(Wt, m)
     if rank != m or abs(det) != 1:
         raise ArithmeticError(f"U^-1 of the Smith form of {a} is not unimodular")
-    if _bareiss([list(row) for row in a.entries], n)[0] != rho:
+    if a._rank != rho:
         raise ArithmeticError(f"Smith form of {a} has rank {rho}, not its Bareiss rank")
     if rho < m and _bareiss([b + list(r) for b, r in zip(basis, a.entries)], rho + n)[0] != rho:
         raise ArithmeticError(f"the first {rho} columns of U^-1 miss the span of {a}")

@@ -85,7 +85,10 @@ class TestConstruction:
 @st.composite
 def cones_with_redundant_generators(draw):
     """A pointed cone and its rays with nonnegative integer combinations of
-    them inserted at random places; the rays keep their relative order."""
+    them inserted at random places.  A combination may equal a ray (1*e_1
+    inserted before e_3, say), which moves that ray's first occurrence
+    forward: a cone built from the list can hold the same rays in another
+    order."""
     c = draw(pointed_cones())
     assume(c.rays)
     gens = [list(r) for r in c.rays]

@@ -22,6 +22,7 @@ from coxtoric.fans import fan_from_max_cones, fan_to_dict, is_map_of_fans
 from coxtoric.cones import cone_from_rays
 from coxtoric.groups import decompose_subgroup
 from coxtoric.intlin import IntMatrix, lattice_canonical_form
+from coxtoric.pipeline import presentation_summary
 from fangen import random_complete_simplicial_fan, random_simplicial_fan
 
 
@@ -271,6 +272,17 @@ class TestClassGroup:
         assert json.loads(capsys.readouterr().out)["free"] == 1
         # class group and ray degrees read the same Smith form
         assert calls.count(qt) == 1
+
+    def test_class_group_and_subgroup_decomposition_take_one_elimination(
+            self, corpus, count_calls):
+        # the grading Smith form is taken of H's relation matrix, the one Q^T
+        # instance of the presentation, so H's decomposition reads it too
+        p = cox_presentation(corpus["p112"])
+        calls = count_calls(intlin, "_smith_elimination")
+        assert class_group(p) == (1, ())
+        assert len(ray_degrees(p)) == 3
+        assert presentation_summary(p)[2] == {"free": 1, "torsion": []}
+        assert calls == {"_smith_elimination": 1}
 
     def test_bad_element_arguments_raise_shape_error(self):
         with pytest.raises(ShapeError, match="2 torsion residues for 1 moduli"):

@@ -602,13 +602,17 @@ class TestSaturationAndInverse:
                 # a logged row operation that triples row 0: U^-1 is not
                 # unimodular
                 return D, rows + [(0, 1, 3, 0, 1, 0)], cols
-            # rank 1 claimed for a rank-2 matrix
+            # rank 1 claimed for a rank-2 matrix, on a copy of D
+            D = [list(row) for row in D]
             D[1][1] = 0
             return D, rows, cols
 
         monkeypatch.setattr(intlin, "_smith_elimination", corrupted)
         with pytest.raises(ArithmeticError):
             saturation_basis(M([[1, 0], [0, 2]]))
+        monkeypatch.undo()
+        # a fresh instance: the corrupted elimination stays on the one above
+        assert saturation_basis(M([[1, 0], [0, 2]])) == IntMatrix.identity(2)
 
     @pytest.mark.parametrize("fault, message", [
         ("doubled_column", "not unimodular"), ("rank_too_large", "Bareiss rank"),
@@ -622,6 +626,7 @@ class TestSaturationAndInverse:
         def elimination(a):
             D, rows, cols = real_elimination(a)
             if fault == "rank_too_large":
+                D = [list(row) for row in D]
                 D[1][1] = 1
             return D, rows, cols
 
@@ -636,11 +641,11 @@ class TestSaturationAndInverse:
 
         monkeypatch.setattr(intlin, "_smith_elimination", elimination)
         monkeypatch.setattr(intlin, "_replay", replay)
-        a = M([[1, 2], [2, 4], [0, 0]])
         with pytest.raises(ArithmeticError, match=message):
-            saturation_basis(a)
+            saturation_basis(M([[1, 2], [2, 4], [0, 0]]))
         monkeypatch.undo()
-        assert saturation_basis(a) == M([[1], [2], [0]])
+        # a fresh instance: the corrupted elimination stays on the one above
+        assert saturation_basis(M([[1, 2], [2, 4], [0, 0]])) == M([[1], [2], [0]])
 
     def test_saturation_of_doubled_lattice(self):
         sat = saturation_basis(M([[2], [0]]))
@@ -655,3 +660,133 @@ class TestSaturationAndInverse:
         for c in a.columns():
             assert solve_integer(sat, c) is not None
         assert cokernel_invariants(sat)[1] == ()
+
+
+class TestEliminationMemo:
+    """One Smith elimination, one Hermite elimination and one Bareiss rank
+    per instance serve every public function; every check still runs."""
+
+    @staticmethod
+    def _count_ranks(monkeypatch, a):
+        # the Bareiss calls that eliminate A itself, whatever the caller
+        ranks = []
+        real = intlin._bareiss
+
+        def counting(rows, cols):
+            if rows == [list(row) for row in a.entries]:
+                ranks.append(cols)
+            return real(rows, cols)
+
+        monkeypatch.setattr(intlin, "_bareiss", counting)
+        return ranks
+
+    def test_smith_questions_take_one_elimination(self, count_calls, monkeypatch):
+        a = M([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+        calls = count_calls(intlin, "_smith_elimination")
+        ranks = self._count_ranks(monkeypatch, a)
+        s = smith_normal_form(a)
+        assert len(kernel_basis(a)) == 1
+        assert saturation_basis(a).cols == 2
+        assert cokernel_invariants(a) == (1, (2,))
+        assert a.rank() == s.rank() == 2
+        assert calls == {"_smith_elimination": 1}
+        assert len(ranks) == 1
+
+    def test_hermite_questions_take_one_elimination(self, count_calls):
+        a = M([[2, 4, 0], [0, 6, 3]])
+        calls = count_calls(intlin, "_column_hermite")
+        H, V, _ = column_hermite_normal_form(a)
+        assert a @ V == H
+        assert solve_integer(a, (2, 3)) is not None
+        assert lattice_canonical_form(a).cols == 2
+        assert divisibility_index(a, (1, 0)) == 2
+        assert calls == {"_column_hermite": 1}
+
+    def test_ladder_op_takes_one_of_each(self, count_calls, monkeypatch):
+        # the five questions perfbench's lattice_ladder asks of one matrix
+        a = M([[3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [6, 1, 2, -4, -2]])
+        calls = count_calls(intlin, "_smith_elimination", "_column_hermite")
+        ranks = self._count_ranks(monkeypatch, a)
+        smith_normal_form(a)
+        column_hermite_normal_form(a)
+        assert len(kernel_basis(a)) == 2
+        saturation_basis(a)
+        solve_integer(a, (1, 0, 0))
+        assert calls == {"_smith_elimination": 1, "_column_hermite": 1}
+        assert len(ranks) == 1
+
+    def test_equal_instances_eliminate_separately(self, count_calls, monkeypatch):
+        rows = [[1, 2, 3], [2, 4, 6]]
+        a, b = M(rows), M(rows)
+        assert a == b and a is not b
+        calls = count_calls(intlin, "_smith_elimination", "_column_hermite")
+        ranks = self._count_ranks(monkeypatch, a)
+        for x in (a, b, a, b):
+            kernel_basis(x)
+            smith_normal_form(x)
+            lattice_canonical_form(x)
+        assert calls == {"_smith_elimination": 2, "_column_hermite": 2}
+        assert len(ranks) == 2
+
+    QUESTIONS = {
+        "smith": lambda a, b: smith_normal_form(a),
+        "hermite": lambda a, b: column_hermite_normal_form(a),
+        "kernel": lambda a, b: kernel_basis(a),
+        "saturation": lambda a, b: saturation_basis(a),
+        "cokernel": lambda a, b: cokernel_invariants(a),
+        "canonical": lambda a, b: lattice_canonical_form(a),
+        "rank": lambda a, b: a.rank(),
+        "solve": lambda a, b: solve_integer(a, b),
+        "scaled": lambda a, b: solve_scaled(a, [b]),
+        "index": lambda a, b: divisibility_index(a, b),
+        "inverse": lambda a, b: invert_unimodular(a),
+    }
+
+    @staticmethod
+    def _ask(question, a, b):
+        try:
+            return question(a, b)
+        except ShapeError as e:
+            return type(e)
+
+    @given(degenerate_matrices(), st.data())
+    @settings(max_examples=60)
+    def test_any_order_on_one_instance_answers_as_fresh_instances(self, a, data):
+        b = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=a.rows, max_size=a.rows)))
+        names = data.draw(st.lists(st.sampled_from(sorted(self.QUESTIONS)), min_size=1,
+                                   max_size=15))
+        for name in names:
+            fresh = IntMatrix.from_rows(a.entries, cols=a.cols)
+            question = self.QUESTIONS[name]
+            assert self._ask(question, a, b) == self._ask(question, fresh, b), name
+
+    @pytest.mark.parametrize("ask", [smith_normal_form, kernel_basis])
+    def test_planted_bad_smith_memo_is_caught(self, ask):
+        # a wrong column log kept on the instance: a memo hit skips no check
+        a = M([[1, 2, 3], [2, 4, 6]])
+        D, rows, cols = a._smith
+        a.__dict__["_smith"] = (D, rows, cols + ((0, a.cols - 1, -1),))
+        with pytest.raises(ArithmeticError):
+            ask(a)
+
+    def test_planted_bad_rank_is_caught(self):
+        a = M([[1, 2, 3], [2, 4, 6]])
+        a.__dict__["_rank"] = 2
+        with pytest.raises(ArithmeticError, match="generators"):
+            kernel_basis(a)
+        with pytest.raises(ArithmeticError, match="Bareiss rank"):
+            saturation_basis(a)
+
+    def test_planted_bad_hermite_memo_fails_substitution(self):
+        # an empty column log replays to V = I
+        a = M([[2, 1]])
+        H, pivots, _ = a._hermite
+        a.__dict__["_hermite"] = (H, pivots, ())
+        with pytest.raises(ArithmeticError, match="fails substitution"):
+            solve_scaled(a, [(1,)])
+
+    def test_memo_is_frozen(self):
+        a = M([[2, 4], [6, 8]])
+        for D, first, second in (a._smith, a._hermite):
+            assert type(D) is tuple and all(type(row) is tuple for row in D)
+            assert type(first) is tuple and type(second) is tuple

@@ -50,3 +50,20 @@ def test_no_module_imports_a_private_name_of_another():
                if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_no_module_memoises_by_value():
+    # every memo is bound to an instance (a cached_property), never to the
+    # arguments' values: two equal objects built separately compute separately
+    files = sorted(Path(coxtoric.__file__).parent.glob("*.py"))
+    banned = {"cache", "lru_cache"}
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                          if a.name in banned]
+            elif (isinstance(node, ast.Attribute) and node.attr in banned
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(f"{path.name}:{node.lineno} functools.{node.attr}")
+    assert found == []
