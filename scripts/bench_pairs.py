@@ -18,8 +18,9 @@ package, so that `setup_s` does not time the compilation of stale `.py`
 files.  The output file holds every run's final JSON line with its
 `outputs_sha256` line, the git revisions, the Python version and the
 machine, and per workload and end-to-end metric the medians and quartiles of
-each side and the number of pairs the change won.  It is rewritten after
-every pair.  Standard library only.
+each side, the number of pairs the change won, whether the change stayed
+inside the metric's bound and whether it met a claimed gain's test.  It is
+rewritten after every pair.  Standard library only.
 """
 
 import argparse
@@ -62,11 +63,15 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(runs, better):
+def summarize(runs, better, bounds):
     """Per workload: for each metric in `better` ("higher" or "lower"), each
     side's median and quartiles and the change's wins over the pairs (ties
-    count for neither side); plus failures and whether both sides printed
-    the same outputs_sha256 for every seed."""
+    count for neither side); whether the change's median is worse than the
+    parent's by no more than the metric's fraction in `bounds`
+    (`within_bound`); and whether the change won at least 9 pairs in 10
+    with a median gain past the parent's interquartile range (`claim_met`).
+    Plus failures and whether both sides printed the same outputs_sha256 for
+    every seed."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         pairs = {}
@@ -92,8 +97,11 @@ def summarize(runs, better):
             entry["wins"] = sum(sign * (c - p) > 0
                                 for p, c in zip(values["parent"], values["change"]))
             parent = entry["parent"]
-            entry["median_gain_exceeds_parent_iqr"] = (
-                sign * (entry["change"]["median"] - parent["median"]) > parent["q3"] - parent["q1"])
+            gain = sign * (entry["change"]["median"] - parent["median"])
+            entry["median_gain_exceeds_parent_iqr"] = gain > parent["q3"] - parent["q1"]
+            entry["within_bound"] = -gain <= bounds[metric] * abs(parent["median"])
+            entry["claim_met"] = (entry["wins"] >= 0.9 * len(pairs)
+                                  and entry["median_gain_exceeds_parent_iqr"])
             summary["metrics"][metric] = entry
         out[workload] = summary
     return out
@@ -121,6 +129,7 @@ def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
@@ -162,13 +171,14 @@ def main(argv=None):
                     print(f"pair {pair} {workload} seed {seed} {side}: ops_per_s "
                           f"{run['result']['metrics']['ops_per_s']['value']:.1f}", flush=True)
                 pair += 1
-                report["summary"] = summarize(report["runs"], better)
+                report["summary"] = summarize(report["runs"], better, bounds)
                 args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, summary in report["summary"].items():
         print(f"{workload}: {summary['pairs']} pairs, outputs equal: {summary['outputs_equal']}")
         for metric, e in summary["metrics"].items():
             print(f"  {metric:16s} {e['parent']['median']:.4g} -> {e['change']['median']:.4g}"
-                  f"  wins {e['wins']}/{summary['pairs']}")
+                  f"  wins {e['wins']}/{summary['pairs']}  within bound {e['within_bound']}"
+                  f"  claim met {e['claim_met']}")
     return 0
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import index
 from typing import Sequence
 
 from .errors import HypothesisError, ShapeError
@@ -23,9 +24,9 @@ from .intlin import (
     Vector,
     canonical_lattice_membership,
     cokernel_invariants,
+    gcd_transform,
     kernel_basis,
     lattice_canonical_form,
-    smith_normal_form,
     vector_gcd,
 )
 
@@ -84,8 +85,13 @@ class MonomialMatrix:
 
     def __post_init__(self):
         m = len(self.perm)
-        if sorted(self.perm) != list(range(m)):
+        try:
+            perm = tuple(map(index, self.perm))
+        except TypeError:
+            perm = None
+        if perm is None or sorted(perm) != list(range(m)):
             raise ShapeError(f"{self.perm} is not a permutation of 0..{m - 1}")
+        object.__setattr__(self, "perm", perm)
         if len(self.scalars) != m:
             raise ShapeError("need one scalar exponent per coordinate")
         scalars = []
@@ -242,21 +248,19 @@ def character_root_isogeny(xi: Sequence[int], d: int) -> tuple[IntMatrix, Vector
     Construction: a unimodular U sends xi to (g, 0, ..., 0) with g = gcd(xi);
     kappa^T = diag(d / gcd(d, g), 1, ..., 1) * U, U with its row 0 scaled,
     satisfies it with xi0 integral, and |det kappa| = d / gcd(d, g) is minimal.
-    U is the row transform of xi's Smith form: one column takes no column
-    operation, so V = [1].  For xi = 0 the identity matrix works with xi0 = 0.
+    U is `gcd_transform(xi)`, which checks U*xi = (g, 0, ..., 0).  For xi = 0
+    the identity matrix works with xi0 = 0.
     """
     if d < 1:
         raise ValueError(f"isogeny exponent d must be >= 1, got {d}")
     r = len(xi)
     if r < 1:
         raise ShapeError("character must live in a torus of rank >= 1")
-    xi = tuple(int(x) for x in xi)
+    xi = tuple(map(index, xi))
     g = vector_gcd(xi)
     if g == 0:
         return IntMatrix.identity(r), (0,) * r
-    u = smith_normal_form(IntMatrix.from_columns([xi], rows=r)).U
-    if u.apply(xi) != (g,) + (0,) * (r - 1):
-        raise ArithmeticError(f"U = {u} does not send {xi} to ({g}, 0, ..., 0)")
+    u = gcd_transform(xi)
     factor = d // gcd(d, g)
     kappa_t = IntMatrix(r, r, (tuple(factor * x for x in u.entries[0]),) + u.entries[1:])
     image = kappa_t.apply(xi)

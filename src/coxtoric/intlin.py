@@ -14,7 +14,8 @@ transform is the log replayed onto just what the caller reads.  Membership,
 divisibility index and integer solving are one back-substitution per
 right-hand side against one column Hermite form (or a given echelon basis).
 Results are certified by explicit checks that raise ArithmeticError:
-`smith_normal_form` checks U*A*V = D, `kernel_basis` checks A*K = 0 and the
+`smith_normal_form` checks U*A*V = D, `gcd_transform` U*v = (gcd(v), 0, ..., 0)
+(all of U*A*V = D for one column), `kernel_basis` checks A*K = 0 and the
 kernel's rank against an independent Bareiss rank, `saturation_basis` checks
 |det U^-1| = 1 and two Bareiss ranks, `solve_scaled` checks every column of
 its solution by substitution and `invert_unimodular` checks A*V = I.  Each
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from .errors import InvalidRayError, ShapeError
@@ -88,14 +89,14 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]], cols: int | None = None) -> IntMatrix:
-        entries = tuple(tuple(int(a) for a in row) for row in rows)
+        entries = tuple(tuple(map(index, row)) for row in rows)
         if cols is None:
             cols = len(entries[0]) if entries else 0
         return IntMatrix(len(entries), cols, entries)
 
     @staticmethod
     def from_columns(cols: Iterable[Sequence[int]], rows: int | None = None) -> IntMatrix:
-        cols = [tuple(int(a) for a in c) for c in cols]
+        cols = [tuple(map(index, c)) for c in cols]
         if rows is None:
             rows = len(cols[0]) if cols else 0
         return IntMatrix(rows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(rows)))
@@ -172,7 +173,7 @@ class IntMatrix:
 
 
 def _built(rows: Iterable[Iterable[int]], cols: int) -> IntMatrix:
-    """IntMatrix of int rows this module computed; unlike `from_rows`, no int()."""
+    """IntMatrix of int rows this module computed; unlike `from_rows`, no index()."""
     entries = tuple(map(tuple, rows))
     return IntMatrix(len(entries), cols, entries)
 
@@ -373,16 +374,37 @@ def _smith_elimination(a: IntMatrix):
     return M, rows, cols
 
 
+def _row_transform(rows, m: int) -> IntMatrix:
+    """U = G_k*...*G_1 of a row log on m rows: the log replayed forward onto
+    the identity gives U^T, whose columns are the rows of U."""
+    return _built(zip(*_replay(rows, _identity_rows(m))), m)
+
+
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Smith normal form with both transforms, each its log replayed forward;
     U*A*V = D is checked and an ArithmeticError raised if it fails."""
     m, n = a.rows, a.cols
     D, rows, cols = a._smith
-    U = _built(zip(*_replay(rows, _identity_rows(m))), m)
-    result = SnfResult(U, _built(D, n), _built(_replay(cols, _identity_rows(n)), n))
+    result = SnfResult(_row_transform(rows, m), _built(D, n),
+                       _built(_replay(cols, _identity_rows(n)), n))
     if result.U @ a @ result.V != result.D:
         raise ArithmeticError(f"Smith form of {a} fails U * A * V = D")
     return result
+
+
+def gcd_transform(v: Sequence[int]) -> IntMatrix:
+    """Unimodular U with U*v = (g, 0, ..., 0), g = gcd(v) >= 0: the U of the
+    Smith form of v as one column, the one `smith_normal_form` builds from
+    the same row log, without V, D or their products.  A column takes no column operation, so V = [1] and
+    D = (g, 0, ..., 0)^T, and the check U*v = (g, 0, ..., 0), with g from
+    `vector_gcd`, is all of U*A*V = D; ArithmeticError if it fails."""
+    a = IntMatrix.from_columns([v], rows=len(v))
+    v = a.column(0)
+    u = _row_transform(a._smith[1], a.rows)
+    target = ((vector_gcd(v),) + (0,) * a.rows)[:a.rows]
+    if u.apply(v) != target:
+        raise ArithmeticError(f"U = {u} does not send {v} to {target}")
+    return u
 
 
 def _column_hermite(a: IntMatrix):

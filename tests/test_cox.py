@@ -4,7 +4,7 @@ from math import comb, lcm
 
 import pytest
 
-from coxtoric import cli, cox, groups, intlin
+from coxtoric import cli, cox, intlin
 from coxtoric.cox import (
     ClassGroupElement,
     acts_freely,
@@ -265,7 +265,7 @@ class TestClassGroup:
         path.write_text(json.dumps(fan_to_dict(corpus["p112"])))
         qt = cox_presentation(corpus["p112"]).q_matrix.transpose()
         calls = []
-        for module in (intlin, cox, groups):
+        for module in (intlin, cox):
             monkeypatch.setattr(module, "smith_normal_form",
                                 lambda a, real=module.smith_normal_form: calls.append(a) or real(a))
         assert cli.main(["classgroup", str(path), "--json"]) == 0

@@ -25,7 +25,6 @@ from coxtoric.groups import (
 )
 from coxtoric.intlin import (
     IntMatrix,
-    SnfResult,
     lattice_canonical_form,
     lattice_membership,
     smith_normal_form,
@@ -200,6 +199,18 @@ class TestMonomialMatrix:
     def test_not_a_permutation(self):
         with pytest.raises(ShapeError):
             MonomialMatrix((0, 0), (0, 0))
+
+    @pytest.mark.parametrize("perm", [(1.0, 0.0), ("1/2", 0), (1, Fraction(0)), (0, None)])
+    def test_non_integer_permutation_is_refused(self, perm):
+        # (1.0, 0.0) sorts to [0, 1], but could not index a list later
+        with pytest.raises(ShapeError, match="not a permutation"):
+            MonomialMatrix(perm, (0, 0))
+
+    def test_permutation_is_stored_as_ints(self):
+        g = MonomialMatrix([True, False], (0, 0))
+        assert g.perm == (1, 0)
+        assert all(type(i) is int for i in g.perm)
+        assert g.inverse() == g
 
     def test_compose_inverse_order(self):
         g = MonomialMatrix((1, 2, 0), (Fraction(1, 2), 0, Fraction(1, 3)))
@@ -378,11 +389,30 @@ class TestCharacterRootIsogeny:
             character_root_isogeny((1, 2), 0)
 
     def test_inconsistent_smith_form_raises_arithmetic_error(self, monkeypatch):
-        real = groups.smith_normal_form
-        monkeypatch.setattr(groups, "smith_normal_form", lambda a: SnfResult(
-            IntMatrix.identity(a.rows), real(a).D, real(a).V))
+        # an empty row log replays to U = I, which leaves (1, 2) as it is
+        real = intlin._smith_elimination
+
+        def forgetful(a):
+            D, _, cols = real(a)
+            return D, [], cols
+
+        monkeypatch.setattr(intlin, "_smith_elimination", forgetful)
         with pytest.raises(ArithmeticError, match="does not send"):
             character_root_isogeny((1, 2), 2)
+
+    def test_takes_one_elimination_and_no_product(self, count_calls):
+        calls = count_calls(intlin, "_smith_elimination", "smith_normal_form")
+        products = count_calls(IntMatrix, "__matmul__")
+        kappa, xi0 = character_root_isogeny((4, 6, -10), 3)
+        assert kappa.transpose().apply((4, 6, -10)) == tuple(3 * x for x in xi0)
+        assert calls == {"_smith_elimination": 1, "smith_normal_form": 0}
+        assert products == {"__matmul__": 0}
+
+    def test_non_integer_character_is_refused(self):
+        # int() would answer as if xi were (2,)
+        for xi in ((2.7,), (Fraction(5, 2), 1), ("2",)):
+            with pytest.raises(TypeError):
+                character_root_isogeny(xi, 2)
 
     def test_indivisible_image_raises_arithmetic_error(self, monkeypatch):
         # a gcd that answers its first argument leaves kappa = 1, and

@@ -14,6 +14,7 @@ from coxtoric.intlin import (
     column_hermite_normal_form,
     divisibility_index,
     dot,
+    gcd_transform,
     invert_unimodular,
     kernel_basis,
     kernel_generator,
@@ -559,6 +560,13 @@ class TestConstruction:
         assert type(m.entries[0][0]) is int
         assert type(IntMatrix.from_columns([[True], [False]]).entries[0][1]) is int
 
+    @pytest.mark.parametrize("build", [IntMatrix.from_rows, IntMatrix.from_columns])
+    @pytest.mark.parametrize("entry", [0.5, 1.9, 2.0, Fraction(7, 2), Fraction(2), "3"])
+    def test_non_integer_entries_are_refused(self, build, entry):
+        # int() would truncate 1.9 to 1 and 7/2 to 3, and parse "3"
+        with pytest.raises(TypeError):
+            build([[entry, 1], [0, 2]])
+
 
 class TestSaturationAndInverse:
     def test_invert_unimodular(self):
@@ -790,3 +798,28 @@ class TestEliminationMemo:
         for D, first, second in (a._smith, a._hermite):
             assert type(D) is tuple and all(type(row) is tuple for row in D)
             assert type(first) is tuple and type(second) is tuple
+
+
+class TestGcdTransform:
+    @given(st.lists(st.integers(-30, 30), max_size=6))
+    def test_is_the_row_transform_of_the_smith_form_of_a_column(self, v):
+        u = gcd_transform(v)
+        assert u == smith_normal_form(IntMatrix.from_columns([v], rows=len(v))).U
+        assert u.apply(v) == ((vector_gcd(v),) + (0,) * len(v))[:len(v)]
+        assert all(type(x) is int for row in u.entries for x in row)
+
+    def test_zero_and_empty_vectors(self):
+        assert gcd_transform((0, 0, 0)) == IntMatrix.identity(3)
+        assert gcd_transform(()) == IntMatrix.identity(0)
+
+    def test_planted_bad_row_log_is_caught(self, monkeypatch):
+        # a swap appended to the row log moves g out of row 0
+        real = intlin._smith_elimination
+
+        def swapped(a):
+            D, rows, cols = real(a)
+            return D, rows + [(0, 1)], cols
+
+        monkeypatch.setattr(intlin, "_smith_elimination", swapped)
+        with pytest.raises(ArithmeticError, match="does not send"):
+            gcd_transform((2, 3))

@@ -63,7 +63,8 @@ def test_bench_pairs_summary_counts_wins_and_quartiles():
                  canned_run(pair, "change", 1 + pair % 2, change, 1000 / change)]
     runs.append(canned_run(4, "parent", 1, 1, 1))            # an unfinished pair is left out
     summary = load_bench_pairs().summarize(
-        runs, {"ops_per_s": "higher", "latency_p50_ms": "lower"})["w"]
+        runs, {"ops_per_s": "higher", "latency_p50_ms": "lower"},
+        {"ops_per_s": 0.25, "latency_p50_ms": 0.25})["w"]
     assert summary["pairs"] == 4
     assert summary["failed"] == {"parent": 0, "change": 0}
     assert summary["outputs_equal"] is True
@@ -79,10 +80,54 @@ def test_bench_pairs_summary_counts_wins_and_quartiles():
 def test_bench_pairs_summary_flags_different_outputs_and_failures():
     runs = [canned_run(0, "parent", 1, 100, 10), canned_run(0, "change", 1, 101, 10, digest="e"),
             canned_run(1, "parent", 2, 100, 10), canned_run(1, "change", 2, 99, 11, failed=2)]
-    summary = load_bench_pairs().summarize(runs, {"ops_per_s": "higher"})["w"]
+    summary = load_bench_pairs().summarize(runs, {"ops_per_s": "higher"}, {"ops_per_s": 0.25})["w"]
     assert summary["outputs_equal"] is False
     assert summary["failed"] == {"parent": 0, "change": 2}
     ops = summary["metrics"]["ops_per_s"]
     assert ops["wins"] == 1
     # a median gain of 0 does not exceed the parent's spread of 0
     assert ops["median_gain_exceeds_parent_iqr"] is False
+
+
+def canned_pairs(ops):
+    """Canned runs of one workload, a (parent, change) ops_per_s per pair;
+    the latency is the inverse, so it falls as ops_per_s rises."""
+    runs = []
+    for pair, (parent, change) in enumerate(ops):
+        runs += [canned_run(pair, "parent", 1 + pair % 3, parent, 1000 / parent),
+                 canned_run(pair, "change", 1 + pair % 3, change, 1000 / change)]
+    return load_bench_pairs().summarize(
+        runs, {"ops_per_s": "higher", "latency_p50_ms": "lower"},
+        {"ops_per_s": 0.25, "latency_p50_ms": 0.1})["w"]["metrics"]
+
+
+def test_bench_pairs_claim_needs_nine_wins_in_ten_and_a_gain_past_the_iqr():
+    # 9 wins of 10, gain 20 against a parent IQR of 2: met
+    ten = [(100 + k % 3, 120) for k in range(9)] + [(100, 90)]
+    assert canned_pairs(ten)["ops_per_s"]["wins"] == 9
+    assert canned_pairs(ten)["ops_per_s"]["claim_met"] is True
+    # 8 wins of 10: not met, though the median gain is past the IQR
+    eight = ten[:8] + [(100, 90), (100, 90)]
+    ops = canned_pairs(eight)["ops_per_s"]
+    assert ops["median_gain_exceeds_parent_iqr"] is True
+    assert ops["claim_met"] is False
+    # every pair won, but by less than the parent's spread: not met
+    narrow = [(90, 91), (110, 111), (95, 96), (105, 106)]
+    ops = canned_pairs(narrow)["ops_per_s"]
+    assert ops["wins"] == 4
+    assert ops["claim_met"] is False
+
+
+def test_bench_pairs_bound_is_a_fraction_of_the_parent_median():
+    # ops_per_s 100 -> 76 is 24% worse (bound 25%); latency 10 -> 13.2 ms is
+    # 32% worse (bound 10%)
+    metrics = canned_pairs([(100, 76)] * 3)
+    assert metrics["ops_per_s"]["within_bound"] is True
+    assert metrics["latency_p50_ms"]["within_bound"] is False
+    metrics = canned_pairs([(100, 74)] * 3)
+    assert metrics["ops_per_s"]["within_bound"] is False
+    # a lower latency is never out of bound, nor a higher ops_per_s
+    metrics = canned_pairs([(100, 200)] * 3)
+    assert metrics["ops_per_s"]["within_bound"] is True
+    assert metrics["latency_p50_ms"]["within_bound"] is True
+    assert metrics["latency_p50_ms"]["claim_met"] is True
