@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import index
+from operator import index, mul
 from typing import Sequence
 
 from .errors import HypothesisError, ShapeError
@@ -88,8 +88,8 @@ class MonomialMatrix:
         try:
             perm = tuple(map(index, self.perm))
         except TypeError:
-            perm = None
-        if perm is None or sorted(perm) != list(range(m)):
+            perm = ()
+        if sorted(perm) != list(range(m)):
             raise ShapeError(f"{self.perm} is not a permutation of 0..{m - 1}")
         object.__setattr__(self, "perm", perm)
         if len(self.scalars) != m:
@@ -262,12 +262,12 @@ def character_root_isogeny(xi: Sequence[int], d: int) -> tuple[IntMatrix, Vector
         return IntMatrix.identity(r), (0,) * r
     u = gcd_transform(xi)
     factor = d // gcd(d, g)
-    kappa_t = IntMatrix(r, r, (tuple(factor * x for x in u.entries[0]),) + u.entries[1:])
-    image = kappa_t.apply(xi)
+    kappa_t = (tuple(factor * x for x in u.entries[0]),) + u.entries[1:]
+    image = tuple(sum(map(mul, row, xi)) for row in kappa_t)
     if any(x % d for x in image):
         raise ArithmeticError(f"kappa^T * xi = {image} is not divisible by {d}")
     xi0 = tuple(x // d for x in image)
-    return kappa_t.transpose(), xi0
+    return IntMatrix(r, r, tuple(zip(*kappa_t))), xi0
 
 
 def decompose_subgroup(group: DiagonalizableSubgroup) -> tuple[int, tuple[int, ...]]:

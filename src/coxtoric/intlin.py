@@ -173,7 +173,8 @@ class IntMatrix:
 
 
 def _built(rows: Iterable[Iterable[int]], cols: int) -> IntMatrix:
-    """IntMatrix of int rows this module computed; unlike `from_rows`, no index()."""
+    """IntMatrix of int rows this module computed or converted; unlike
+    `from_rows`, no index()."""
     entries = tuple(map(tuple, rows))
     return IntMatrix(len(entries), cols, entries)
 
@@ -395,11 +396,12 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 def gcd_transform(v: Sequence[int]) -> IntMatrix:
     """Unimodular U with U*v = (g, 0, ..., 0), g = gcd(v) >= 0: the U of the
     Smith form of v as one column, the one `smith_normal_form` builds from
-    the same row log, without V, D or their products.  A column takes no column operation, so V = [1] and
-    D = (g, 0, ..., 0)^T, and the check U*v = (g, 0, ..., 0), with g from
-    `vector_gcd`, is all of U*A*V = D; ArithmeticError if it fails."""
-    a = IntMatrix.from_columns([v], rows=len(v))
-    v = a.column(0)
+    the same row log, without V, D or their products.  A column takes no
+    column operation, so V = [1] and D = (g, 0, ..., 0)^T, and the check
+    U*v = (g, 0, ..., 0), with g from `vector_gcd`, is all of U*A*V = D;
+    ArithmeticError if it fails."""
+    v = tuple(map(index, v))
+    a = _built([(x,) for x in v], 1)
     u = _row_transform(a._smith[1], a.rows)
     target = ((vector_gcd(v),) + (0,) * a.rows)[:a.rows]
     if u.apply(v) != target:
