@@ -17,22 +17,23 @@ def projective_line() -> Fan:
                                   cone_from_rays(1, [(-1,)])])
 
 
+def _complete_polygon(rays: list[tuple[int, int]]) -> Fan:
+    """Complete rank-2 fan whose cones join each ray to the next, cyclically."""
+    k = len(rays)
+    return fan_from_max_cones(2, [cone_from_rays(2, [rays[i], rays[(i + 1) % k]])
+                                  for i in range(k)])
+
+
 def projective_plane() -> Fan:
-    rays = [(1, 0), (0, 1), (-1, -1)]
-    cones = [cone_from_rays(2, [rays[i], rays[(i + 1) % 3]]) for i in range(3)]
-    return fan_from_max_cones(2, cones)
+    return _complete_polygon([(1, 0), (0, 1), (-1, -1)])
 
 
 def p1_times_p1() -> Fan:
-    rays = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    cones = [cone_from_rays(2, [rays[i], rays[(i + 1) % 4]]) for i in range(4)]
-    return fan_from_max_cones(2, cones)
+    return _complete_polygon([(1, 0), (0, 1), (-1, 0), (0, -1)])
 
 
 def hirzebruch(a: int) -> Fan:
-    rays = [(1, 0), (0, 1), (-1, a), (0, -1)]
-    cones = [cone_from_rays(2, [rays[i], rays[(i + 1) % 4]]) for i in range(4)]
-    return fan_from_max_cones(2, cones)
+    return _complete_polygon([(1, 0), (0, 1), (-1, a), (0, -1)])
 
 
 def quadric_cone() -> Fan:
@@ -42,9 +43,7 @@ def quadric_cone() -> Fan:
 
 def weighted_projective_112() -> Fan:
     """Complete fan with rays (1,0),(0,1),(-1,-2); coordinate weights (1,2,1)."""
-    rays = [(1, 0), (0, 1), (-1, -2)]
-    cones = [cone_from_rays(2, [rays[i], rays[(i + 1) % 3]]) for i in range(3)]
-    return fan_from_max_cones(2, cones)
+    return _complete_polygon([(1, 0), (0, 1), (-1, -2)])
 
 
 def blowup_origin_affine_plane() -> Fan:

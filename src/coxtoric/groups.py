@@ -77,7 +77,7 @@ class MonomialMatrix:
 
     Coordinate hyperplane V(z_i) is sent to V(z_{perm[i]}); scalars[i] is
     the exponent q of the root of unity multiplying coordinate i of the
-    output, as an element of Q/Z reduced into [0, 1).
+    output, as an element of Q/Z reduced into [0, 1); a float raises TypeError.
     """
 
     perm: tuple[int, ...]
@@ -96,7 +96,10 @@ class MonomialMatrix:
             raise ShapeError("need one scalar exponent per coordinate")
         scalars = []
         for s in self.scalars:
-            s = s if isinstance(s, Fraction) else Fraction(s)
+            if not isinstance(s, Fraction):
+                if isinstance(s, float):
+                    raise TypeError(f"scalar exponent {s!r} is a float, not an exact rational")
+                s = Fraction(s)
             n, d = s.numerator, s.denominator
             scalars.append(s if 0 <= n < d else Fraction(n % d, d))
         object.__setattr__(self, "scalars", tuple(scalars))

@@ -96,10 +96,7 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(cols: Iterable[Sequence[int]], rows: int | None = None) -> IntMatrix:
-        cols = [tuple(map(index, c)) for c in cols]
-        if rows is None:
-            rows = len(cols[0]) if cols else 0
-        return IntMatrix(rows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(rows)))
+        return IntMatrix.from_rows(cols, rows).transpose()
 
     @staticmethod
     def identity(n: int) -> IntMatrix:
@@ -108,12 +105,6 @@ class IntMatrix:
     @staticmethod
     def zero(rows: int, cols: int) -> IntMatrix:
         return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @staticmethod
-    def diagonal(diag: Sequence[int]) -> IntMatrix:
-        n = len(diag)
-        return IntMatrix(n, n, tuple(tuple(diag[i] if i == j else 0 for j in range(n))
-                                     for i in range(n)))
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
@@ -161,15 +152,6 @@ class IntMatrix:
     def rank(self) -> int:
         """Rank by fraction-free (Bareiss) elimination, independent of SNF."""
         return self._rank
-
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise ShapeError("determinant of a non-square matrix")
-        rank, pivot, _ = _bareiss([list(row) for row in self.entries], self.cols)
-        return pivot if rank == self.rows else 0
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(a) for a in row) for row in self.entries) + "]"
 
 
 def _built(rows: Iterable[Iterable[int]], cols: int) -> IntMatrix:

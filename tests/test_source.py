@@ -52,6 +52,18 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
+def test_oracles_import_nothing_from_the_package():
+    # the oracles check the package, so they must share no code path with it
+    path = Path(__file__).parent / "oracles.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert [name for name in imported if name.split(".")[0] == "coxtoric"] == []
+
+
 def test_no_module_memoises_by_value():
     # every memo is bound to an instance (a cached_property), never to the
     # arguments' values: two equal objects built separately compute separately
