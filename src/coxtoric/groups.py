@@ -11,6 +11,7 @@ purely by exponents in Q/Z (no cyclotomic arithmetic).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -22,13 +23,18 @@ from .errors import HypothesisError, ShapeError
 from .intlin import (
     IntMatrix,
     Vector,
-    canonical_lattice_membership,
     cokernel_invariants,
     gcd_transform,
     kernel_basis,
     lattice_canonical_form,
+    lattice_membership,
     vector_gcd,
 )
+
+# A scalar string: "p" or "p/q" of ASCII digits, p optionally signed.  Fraction's
+# parser also takes "1e-4000000", spaces and "_"; `cli.main` lifts Python's
+# 4300-digit int <-> str cap, so this bound is what keeps int() cheap.
+_SCALAR = re.compile(r"[+-]?[0-9]{1,4300}(/[0-9]{1,4300})?")
 
 
 @dataclass(frozen=True)
@@ -75,9 +81,11 @@ class WeightAction:
 class MonomialMatrix:
     """Permutation-plus-scaling automorphism of K^m.
 
-    Coordinate hyperplane V(z_i) is sent to V(z_{perm[i]}); scalars[i] is
-    the exponent q of the root of unity multiplying coordinate i of the
-    output, as an element of Q/Z reduced into [0, 1); a float raises TypeError.
+    Coordinate hyperplane V(z_i) is sent to V(z_{perm[i]}); scalars[i] is the
+    exponent of the root of unity scaling output coordinate i, an element of
+    Q/Z stored as a Fraction in [0, 1).  Each is an int, a Fraction or a
+    string "p/q" or "p" (`_SCALAR`); another string raises ValueError, a zero
+    denominator ZeroDivisionError, and another type, such as float, TypeError.
     """
 
     perm: tuple[int, ...]
@@ -96,10 +104,13 @@ class MonomialMatrix:
             raise ShapeError("need one scalar exponent per coordinate")
         scalars = []
         for s in self.scalars:
-            if not isinstance(s, Fraction):
-                if isinstance(s, float):
-                    raise TypeError(f"scalar exponent {s!r} is a float, not an exact rational")
-                s = Fraction(s)
+            if isinstance(s, str):
+                if not _SCALAR.fullmatch(s):
+                    raise ValueError(f"scalar exponent {s!r} is not of the form p/q")
+                p, _, q = s.partition("/")
+                s = Fraction(int(p), int(q or 1))
+            elif not isinstance(s, Fraction):
+                s = Fraction(index(s))
             n, d = s.numerator, s.denominator
             scalars.append(s if 0 <= n < d else Fraction(n % d, d))
         object.__setattr__(self, "scalars", tuple(scalars))
@@ -214,19 +225,14 @@ def centralizes_torus(g: MonomialMatrix, group: DiagonalizableSubgroup) -> bool:
 
     Elementwise commutation forces t_{perm(i)} = t_i for every group element
     t, i.e. every comparison character e_i - e_{perm(i)} must vanish on the
-    subgroup, which happens exactly when it lies in the relation lattice,
-    already in Hermite form as `canonical_relations`.
+    subgroup, which happens exactly when it lies in the relation lattice.
+    Each test is one back-substitution against the Hermite form of
+    `relations`, the one that `canonical_relations` reads, taken once.
     """
     if g.size != group.ambient:
         raise ShapeError("monomial matrix size does not match ambient rank")
-    H = group.canonical_relations
-    for i, pi in enumerate(g.perm):
-        if pi == i:
-            continue
-        chi = [(k == i) - (k == pi) for k in range(g.size)]
-        if not canonical_lattice_membership(H, chi):
-            return False
-    return True
+    return all(lattice_membership(group.relations, [(k == i) - (k == pi) for k in range(g.size)])
+               for i, pi in enumerate(g.perm) if pi != i)
 
 
 def hyperplane_permutation_report(g: MonomialMatrix, exponents: Sequence[int]) -> HyperplanePermutationReport:

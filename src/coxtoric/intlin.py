@@ -12,7 +12,7 @@ and kept on the instance, frozen into tuples; two equal matrices built
 separately eliminate separately.  An elimination logs its operations; a
 transform is the log replayed onto just what the caller reads.  Membership,
 divisibility index and integer solving are one back-substitution per
-right-hand side against one column Hermite form (or a given echelon basis).
+right-hand side against one column Hermite form.
 Results are certified by explicit checks that raise ArithmeticError:
 `smith_normal_form` checks U*A*V = D, `gcd_transform` U*v = (gcd(v), 0, ..., 0)
 (all of U*A*V = D for one column), `kernel_basis` checks A*K = 0 and the
@@ -43,10 +43,7 @@ def dot(u: Sequence, v: Sequence):
 
 
 def vector_gcd(v: Sequence[int]) -> int:
-    g = 0
-    for a in v:
-        g = gcd(g, a)
-    return g
+    return gcd(*v)
 
 
 def primitive_vector(v: Sequence[int]) -> Vector:
@@ -96,7 +93,13 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(cols: Iterable[Sequence[int]], rows: int | None = None) -> IntMatrix:
-        return IntMatrix.from_rows(cols, rows).transpose()
+        columns = [tuple(map(index, c)) for c in cols]
+        if rows is None:
+            rows = len(columns[0]) if columns else 0
+        for j, c in enumerate(columns):
+            if len(c) != rows:
+                raise ShapeError(f"column {j} has length {len(c)}, expected {rows}")
+        return _built(zip(*columns) if columns else [()] * rows, len(columns))
 
     @staticmethod
     def identity(n: int) -> IntMatrix:
@@ -498,14 +501,6 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vector | None:
 def lattice_membership(L: IntMatrix, v: Sequence[int]) -> bool:
     """Whether v lies in the lattice generated by the columns of L."""
     return divisibility_index(L, v) == 1
-
-
-def canonical_lattice_membership(H: IntMatrix, v: Sequence[int]) -> bool:
-    """`lattice_membership` for a basis H in column echelon form, as
-    `lattice_canonical_form` returns it, without reducing H again;
-    ValueError if H is not in that form."""
-    found = _back_substitute(H.entries, v, H.cols)
-    return found is not None and found[0] == 1
 
 
 def divisibility_index(L: IntMatrix, v: Sequence[int]) -> int | None:

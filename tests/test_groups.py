@@ -1,7 +1,9 @@
+import time
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +28,10 @@ from coxtoric.groups import (
 from coxtoric.intlin import (
     IntMatrix,
     lattice_canonical_form,
-    lattice_membership,
     smith_normal_form,
     vector_gcd,
 )
-from oracles import det_cofactor
+from oracles import det_cofactor, invariant_factors_by_minors, rank_fraction_gauss
 
 
 def weight(rows):
@@ -48,6 +49,16 @@ def isogeny_by_diagonal_product(xi, d):
     kappa_t = IntMatrix.from_rows([[x if i == j else 0 for j in range(r)]
                                    for i, x in enumerate(diagonal)]) @ u
     return kappa_t.transpose(), tuple(x // d for x in kappa_t.apply(xi))
+
+
+def in_lattice_by_minors(relations, chi):
+    """Whether chi is in the column lattice of `relations`: adding it keeps the
+    rank and the product of the invariant factors, the lattice's index in its
+    saturation."""
+    rows = [list(row) for row in relations.entries]
+    extended = [row + [x] for row, x in zip(rows, chi)]
+    return (rank_fraction_gauss(rows, relations.cols) == rank_fraction_gauss(extended, relations.cols + 1)
+            and prod(invariant_factors_by_minors(rows)) == prod(invariant_factors_by_minors(extended)))
 
 
 def rank_one_subgroup(column):
@@ -203,6 +214,28 @@ class TestMonomialMatrix:
         with pytest.raises(ShapeError):
             MonomialMatrix((0, 0), (0, 0))
 
+    @pytest.mark.parametrize("scalar", ["1/2", "-1/3", "+2/4", "0", 0, -3, Fraction(7, 3),
+                                        pytest.param("1/" + "7" * 4300, id="1/<4300 digits>")])
+    def test_accepted_scalar_forms(self, scalar):
+        assert MonomialMatrix((0,), (scalar,)).scalars == (Fraction(scalar) % 1,)
+
+    @pytest.mark.parametrize("scalar, error", [
+        ("1e-3", ValueError), ("0.5", ValueError), (" 1/2", ValueError), ("1_0", ValueError),
+        ("\u0661/\u0662", ValueError), (Decimal("0.25"), TypeError), ("1/0", ZeroDivisionError),
+        pytest.param("1/" + "7" * 4301, ValueError, id="1/<4301 digits>"),
+        ("1e-4000000", ValueError)])
+    def test_refused_scalar_forms(self, scalar, error):
+        # Fraction takes each of these but "1/0" and the 4301 digits, and
+        # reads "1e-4000000" as an exact 4,000,000-digit denominator, in seconds
+        start = time.perf_counter()
+        with pytest.raises(error):
+            MonomialMatrix((0,), (scalar,))
+        assert time.perf_counter() - start < 1
+
+    @given(st.integers(), st.integers(min_value=1))
+    def test_p_over_q_is_read_exactly(self, p, q):
+        assert MonomialMatrix((0,), (f"{p}/{q}",)).scalars == (Fraction(p, q) % 1,)
+
     def test_float_scalar_is_refused(self):
         # Fraction(0.1) is 3602879701896397/2**55, a root of unity of order 2**55
         with pytest.raises(TypeError, match="float"):
@@ -249,7 +282,7 @@ class TestMonomialMatrix:
 class TestCommutesWithTorus:
     @given(relation_matrices, st.data())
     def test_verdicts_agree_with_the_given_relations(self, relations, data):
-        # both read the canonical relations, which span the same lattice
+        # each verdict against an independent test of the given relations
         m = relations.rows
         perm = tuple(data.draw(st.permutations(range(m))))
         g = MonomialMatrix(perm, (0,) * m)
@@ -268,7 +301,7 @@ class TestCommutesWithTorus:
         comparisons = [[(k == i) - (k == pi) for k in range(m)]
                        for i, pi in enumerate(perm) if pi != i]
         assert centralizes_torus(g, group) == all(
-            lattice_membership(relations, chi) for chi in comparisons)
+            in_lattice_by_minors(relations, chi) for chi in comparisons)
 
     def test_identity_always(self):
         g0 = rank_one_subgroup((1, 1))

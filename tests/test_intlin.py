@@ -9,7 +9,6 @@ from coxtoric import intlin
 from coxtoric.errors import InvalidRayError, ShapeError
 from coxtoric.intlin import (
     IntMatrix,
-    canonical_lattice_membership,
     cokernel_invariants,
     column_hermite_normal_form,
     divisibility_index,
@@ -470,7 +469,6 @@ class TestMembershipAndSolve:
         index = divisibility_index(a, v)
         assert index == smith_index
         assert lattice_membership(a, v) == (index == 1)
-        assert canonical_lattice_membership(lattice_canonical_form(a), v) == (index == 1)
         if index is not None:
             assert lattice_membership(a, [index * x for x in v])
 
@@ -486,17 +484,17 @@ class TestMembershipAndSolve:
 
     @pytest.mark.parametrize("basis", [[[0, 1], [1, 0]], [[1, 1], [0, 1]]],
                              ids=["pivot_rows_unordered", "row_echelon"])
-    def test_canonical_membership_rejects_a_basis_out_of_form(self, basis):
+    def test_back_substitution_rejects_a_basis_out_of_form(self, basis):
         with pytest.raises(ValueError, match="not column echelon"):
-            canonical_lattice_membership(M(basis), (1, 1))
+            intlin._back_substitute(basis, (1, 1), 2)
 
-    def test_canonical_membership_needs_only_echelon_form(self):
+    def test_membership_in_an_echelon_basis_out_of_hermite_form(self):
         # a negative pivot, an unreduced entry and a zero column leave the
         # lattice and the verdict as they are
         H = M([[-2, 0, 0], [3, 1, 0]])
-        assert canonical_lattice_membership(H, (2, 0)) is True
-        assert canonical_lattice_membership(H, (1, 0)) is False
-        assert canonical_lattice_membership(H, (0, 5)) is True
+        assert lattice_membership(H, (2, 0)) is True
+        assert lattice_membership(H, (1, 0)) is False
+        assert lattice_membership(H, (0, 5)) is True
 
     def test_takes_no_normal_form_with_transforms(self, count_calls):
         calls = count_calls(intlin, "smith_normal_form", "column_hermite_normal_form")
@@ -572,11 +570,15 @@ class TestConstruction:
         with pytest.raises(TypeError):
             build([[entry, 1], [0, 2]])
 
-    @pytest.mark.parametrize("cols, rows", [([[1, 2, 3]], 2), ([[1, 2], [3, 4, 5]], None),
-                                            ([[1, 2, 3], [4, 5]], None)])
-    def test_columns_of_the_wrong_length_are_refused(self, cols, rows):
-        # neither cut to the expected length nor an IndexError
-        with pytest.raises(ShapeError):
+    @pytest.mark.parametrize("cols, rows, message", [
+        ([[1, 2, 3]], 2, "column 0 has length 3, expected 2"),
+        ([[1, 2], [3, 4, 5]], None, "column 1 has length 3, expected 2"),
+        ([[1, 2, 3], [4, 5]], None, "column 1 has length 2, expected 3"),
+    ], ids=["cols0-2", "cols1-None", "cols2-None"])
+    def test_columns_of_the_wrong_length_are_refused(self, cols, rows, message):
+        # neither cut to the expected length nor an IndexError, and the
+        # message names the column, not a row of the transpose
+        with pytest.raises(ShapeError, match=f"^{message}$"):
             IntMatrix.from_columns(cols, rows)
 
 

@@ -52,16 +52,27 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
-def test_oracles_import_nothing_from_the_package():
-    # the oracles check the package, so they must share no code path with it
-    path = Path(__file__).parent / "oracles.py"
+def _imported_packages(path):
+    """Top-level package of each module that the file imports."""
     imported = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported.append(node.module or "")
-    assert [name for name in imported if name.split(".")[0] == "coxtoric"] == []
+    return {name.split(".")[0] for name in imported}
+
+
+def test_cli_parses_no_scalar():
+    # groups.MonomialMatrix alone reads the "p/q" scalar grammar; the CLI
+    # passes the strings through
+    path = Path(coxtoric.__file__).parent / "cli.py"
+    assert _imported_packages(path) & {"re", "fractions"} == set()
+
+
+def test_oracles_import_nothing_from_the_package():
+    # the oracles check the package, so they must share no code path with it
+    assert "coxtoric" not in _imported_packages(Path(__file__).parent / "oracles.py")
 
 
 def test_no_module_memoises_by_value():
