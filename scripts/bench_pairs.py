@@ -20,14 +20,18 @@ files.  The output file holds every run's final JSON line with its
 machine, and per workload and end-to-end metric the medians and quartiles of
 each side, the number of pairs the change won, whether the change stayed
 inside the metric's bound and whether it met a claimed gain's test.  It is
-rewritten after every pair.  Standard library only.
+rewritten after every pair.  SIGTERM or SIGINT to this script stops the
+running side with SIGINT, and with SIGKILL after GRACE seconds, so that no
+run and no .work-* or bench-pairs-* directory is left.  Standard library only.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -37,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+GRACE = 10
 WARM = ("import os, sys; sys.path[:0] = [os.path.abspath('perfbench'), os.path.abspath('src')]; "
         "import run; run.load_package()")
 
@@ -107,19 +112,45 @@ def summarize(runs, better, bounds):
     return out
 
 
+def stop(child):
+    """Send SIGINT to the process group of the run `child`, so that the
+    `finally` blocks of run.py and of its --setup-only children remove their
+    .work-* directories; SIGKILL the group if the run has not ended after GRACE s."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(child.pid, signal.SIGINT)
+        try:
+            child.communicate(timeout=GRACE)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+
+
 def run_side(root, env, workload, seed, seconds):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    child = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
-                           timeout=10 * seconds + 600)
+    # a session of its own, so that stop() reaches the run and its children alone
+    child = subprocess.Popen(argv, cwd=root, env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = child.communicate(timeout=10 * seconds + 600)
+    except BaseException:
+        stop(child)
+        raise
     if child.returncode != 0:
-        raise SystemExit(f"{' '.join(argv)} failed in {root}:\n{child.stderr}")
-    lines = child.stdout.splitlines()
+        raise SystemExit(f"{' '.join(argv)} failed in {root}:\n{stderr}")
+    lines = stdout.splitlines()
     digest = next(line.split()[-1] for line in lines if line.startswith("outputs_sha256"))
     return {"outputs_sha256": digest, "result": json.loads(lines[-1])}
 
 
+def terminated(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None):
+    # SIGTERM unwinds like an interrupt: the running side is stopped and the
+    # parent copy's temporary directory removed
+    signal.signal(signal.SIGTERM, terminated)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--out", required=True, type=Path)

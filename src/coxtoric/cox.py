@@ -137,9 +137,8 @@ def acts_freely(p: CoxPresentation) -> bool:
     the relation lattice of H projects onto all of Z^I.  It suffices to
     check the index sets of the maximal cones of Sigma.
     """
-    qt = p.q_matrix.transpose()
     for s in p.sigma:
-        projected = IntMatrix.from_rows([qt.row(i) for i in sorted(s)], cols=qt.cols)
+        projected = IntMatrix.from_rows([p.delta.rays[i] for i in s], cols=p.delta.rank)
         if cokernel_invariants(projected) != (0, ()):
             return False
     return True

@@ -258,7 +258,7 @@ def character_root_isogeny(xi: Sequence[int], d: int) -> tuple[IntMatrix, Vector
     kappa^T = diag(d / gcd(d, g), 1, ..., 1) * U, U with its row 0 scaled,
     satisfies it with xi0 integral, and |det kappa| = d / gcd(d, g) is minimal.
     U is `gcd_transform(xi)`, which checks U*xi = (g, 0, ..., 0).  For xi = 0
-    the identity matrix works with xi0 = 0.
+    that U is the identity and g = 0, so kappa = I and xi0 = 0.
     """
     if d < 1:
         raise ValueError(f"isogeny exponent d must be >= 1, got {d}")
@@ -266,11 +266,8 @@ def character_root_isogeny(xi: Sequence[int], d: int) -> tuple[IntMatrix, Vector
     if r < 1:
         raise ShapeError("character must live in a torus of rank >= 1")
     xi = tuple(map(index, xi))
-    g = vector_gcd(xi)
-    if g == 0:
-        return IntMatrix.identity(r), (0,) * r
     u = gcd_transform(xi)
-    factor = d // gcd(d, g)
+    factor = d // gcd(d, vector_gcd(xi))
     kappa_t = (tuple(factor * x for x in u.entries[0]),) + u.entries[1:]
     image = tuple(sum(map(mul, row, xi)) for row in kappa_t)
     if any(x % d for x in image):

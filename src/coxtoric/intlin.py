@@ -11,15 +11,15 @@ per `IntMatrix` instance serve every caller: each is taken on first request
 and kept on the instance, frozen into tuples; two equal matrices built
 separately eliminate separately.  An elimination logs its operations; a
 transform is the log replayed onto just what the caller reads.  Membership,
-divisibility index and integer solving are one back-substitution per
-right-hand side against one column Hermite form.
+divisibility index, integer solving and inversion are one back-substitution
+per right-hand side against one column Hermite form.
 Results are certified by explicit checks that raise ArithmeticError:
 `smith_normal_form` checks U*A*V = D, `gcd_transform` U*v = (gcd(v), 0, ..., 0)
 (all of U*A*V = D for one column), `kernel_basis` checks A*K = 0 and the
 kernel's rank against an independent Bareiss rank, `saturation_basis` checks
 |det U^-1| = 1 and two Bareiss ranks, `solve_scaled` checks every column of
-its solution by substitution and `invert_unimodular` checks A*V = I.  Each
-check runs on every call, whether the elimination was kept or taken anew.
+its solution by substitution (A*X = I for `invert_unimodular`).  Each check
+runs on every call, whether the elimination was kept or taken anew.
 """
 
 from __future__ import annotations
@@ -544,20 +544,15 @@ def cokernel_invariants(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
 
 
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a square integer matrix with |det| = 1.
-
-    A square matrix is unimodular iff its column Hermite form H = A*V is
-    the identity, and then V is the inverse; one Hermite form answers both.
-    """
+    """Exact inverse of a square integer matrix with |det| = 1: the solution X
+    of A*X = I by `solve_scaled`, whose substitution check is A*X = I.  A square
+    matrix is unimodular iff that solve succeeds with d = 1."""
     if a.rows != a.cols:
         raise ShapeError("only square matrices can be inverted")
-    H, V, _ = column_hermite_normal_form(a)
-    identity = IntMatrix.identity(a.rows)
-    if H != identity:
+    found = solve_scaled(a, _identity_rows(a.rows))
+    if found is None or found[0] != 1:
         raise ShapeError("matrix is not unimodular")
-    if a @ V != identity:
-        raise ArithmeticError(f"Hermite transform of {a} is not its inverse")
-    return V
+    return _built(zip(*found[1]), a.cols)
 
 
 def saturation_basis(a: IntMatrix) -> IntMatrix:

@@ -79,7 +79,9 @@ class PipelineReport:
 
 
 def theorem_pipeline(delta: Fan, action: WeightAction) -> PipelineReport:
-    """Check the hypotheses and emit the subtorus embedding when they hold."""
+    """Check the hypotheses and emit the subtorus embedding when they hold.
+    One chain of checks names the first failed hypothesis, and one report is
+    built from it; `is_effective` runs only on a fan that passes both fan checks."""
     m = len(delta.rays)
     if action.weights.cols != m:
         raise ShapeError(
@@ -91,28 +93,23 @@ def theorem_pipeline(delta: Fan, action: WeightAction) -> PipelineReport:
     rank_q, subgroup, class_group = presentation_summary(p)
     nondegenerate = class_group is not None
     summary = {"m": m, "class_group": class_group, "subgroup": subgroup}
-    effective = is_effective(action)
 
     # ker W meets span(Q^T) in {Q^T y : (Q W^T)^T y = 0}, and ker Q^T lies in
     # ker (Q W^T)^T, so the meet has rank rank(Q) - rank(Q W^T)
     embedding = p.q_matrix @ action.weights.transpose()
     meet_rank = rank_q - embedding.rank()
-    combined_dimension = m - meet_rank
 
     diagnostic = None
     if not nondegenerate:
         diagnostic = DEGENERATE_FAN
     elif holes is not True:
         diagnostic = HOLES_NOT_CERTIFIED
-    elif not effective:
+    elif not is_effective(action):
         diagnostic = INEFFECTIVE_ACTION
     elif r != n - 1 or meet_rank != 1:
         diagnostic = WRONG_DIMENSION
 
-    if diagnostic is not None:
-        return PipelineReport(nondegenerate, holes, summary, r,
-                              combined_dimension, False, diagnostic,
-                              None, None, None)
-    return PipelineReport(nondegenerate, holes, summary, r,
-                          combined_dimension, True, None,
-                          embedding, saturation_basis(embedding), 1)
+    met = diagnostic is None
+    return PipelineReport(nondegenerate, holes, summary, r, m - meet_rank, met, diagnostic,
+                          embedding if met else None,
+                          saturation_basis(embedding) if met else None, 1 if met else None)

@@ -81,17 +81,22 @@ class TestTheoremPipeline:
         assert report.embedding is None
         assert report.combined_dimension == 1
 
-    def test_degenerate_fan_diagnostic(self):
+    def test_degenerate_fan_diagnostic(self, count_calls):
+        # the chain stops at the first failed hypothesis
         fan = fan_from_max_cones(2, [cone_from_rays(2, [(1, 0)])])
+        calls = count_calls(coxtoric.pipeline, "is_effective")
         report = theorem_pipeline(fan, WeightAction(1, IntMatrix.from_rows([[1]])))
         assert report.diagnostic == "degenerate-fan"
+        assert calls == {"is_effective": 0}
 
-    def test_holes_not_certified_diagnostic(self):
+    def test_holes_not_certified_diagnostic(self, count_calls):
         fan = fan_from_max_cones(2, [cone_from_rays(2, [r])
                                      for r in [(1, 0), (0, 1), (-1, 0), (0, -1)]])
+        calls = count_calls(coxtoric.pipeline, "is_effective")
         report = theorem_pipeline(fan, WeightAction(1, IntMatrix.from_rows([[1, 0, 0, 0]])))
         assert report.diagnostic == "holes-not-certified"
         assert report.no_small_holes_certified == "not-certified"
+        assert calls == {"is_effective": 0}
 
     def test_nonconvex_support_diagnostic(self, corpus):
         fan = fan_from_max_cones(2, [

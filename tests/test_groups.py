@@ -397,10 +397,13 @@ class TestHyperplaneReport:
 
 
 class TestCharacterRootIsogeny:
-    def test_zero_character(self):
+    def test_zero_character(self, count_calls):
+        # no branch of its own: the gcd transform of 0 is I
+        calls = count_calls(groups, "gcd_transform")
         kappa, xi0 = character_root_isogeny((0, 0, 0), 7)
         assert kappa == IntMatrix.identity(3)
         assert xi0 == (0, 0, 0)
+        assert calls == {"gcd_transform": 1}
 
     def test_minimal_determinant_is_two(self):
         kappa, xi0 = character_root_isogeny((1, 0), 2)

@@ -583,9 +583,12 @@ class TestConstruction:
 
 
 class TestSaturationAndInverse:
-    def test_invert_unimodular(self):
+    def test_invert_unimodular(self, count_calls):
+        # one solve against the identity, which forms no Hermite transform V
         u = M([[1, 2], [0, 1]])
+        calls = count_calls(intlin, "column_hermite_normal_form", "solve_scaled")
         assert u @ invert_unimodular(u) == IntMatrix.identity(2)
+        assert calls == {"column_hermite_normal_form": 0, "solve_scaled": 1}
 
     @given(unimodular_matrices())
     def test_inverse_of_random_unimodular(self, u):
@@ -806,6 +809,14 @@ class TestEliminationMemo:
         a.__dict__["_hermite"] = (H, pivots, ())
         with pytest.raises(ArithmeticError, match="fails substitution"):
             solve_scaled(a, [(1,)])
+
+    def test_planted_bad_hermite_memo_fails_inversion(self):
+        # H = I is kept, but an empty column log replays to X = I, and A * I != I
+        a = M([[1, 2], [0, 1]])
+        H, pivots, _ = a._hermite
+        a.__dict__["_hermite"] = (H, pivots, ())
+        with pytest.raises(ArithmeticError, match="fails substitution"):
+            invert_unimodular(a)
 
     def test_memo_is_frozen(self):
         a = M([[2, 4], [6, 8]])

@@ -2,8 +2,11 @@ import importlib.util
 import json
 import os
 import pathlib
+import shutil
+import signal
 import subprocess
 import sys
+import time
 
 from coxtoric.corpus import corpus_fans
 from coxtoric.fans import fan_from_dict, fan_to_dict
@@ -131,3 +134,73 @@ def test_bench_pairs_bound_is_a_fraction_of_the_parent_median():
     assert metrics["ops_per_s"]["within_bound"] is True
     assert metrics["latency_p50_ms"]["within_bound"] is True
     assert metrics["latency_p50_ms"]["claim_met"] is True
+
+
+FAKE_RUN = """
+import os, shutil, tempfile, time
+
+def load_package():
+    pass
+
+if __name__ == "__main__":
+    work = tempfile.mkdtemp(prefix=".work-", dir=os.path.dirname(os.path.abspath(__file__)))
+    try:
+        with open(os.environ["FAKE_RUN_LOG"], "a") as log:
+            log.write(f"{os.getpid()} {work}\\n")
+        time.sleep(120)
+    finally:
+        shutil.rmtree(work)
+"""
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_bench_pairs_stops_its_run_on_sigterm(tmp_path):
+    # a checkout whose perfbench/run.py records its pid and work directory,
+    # then sleeps until interrupted; SIGTERM the driver while the run sleeps
+    checkout = tmp_path / "checkout"
+    (checkout / "scripts").mkdir(parents=True)
+    (checkout / "perfbench").mkdir()
+    shutil.copy(ROOT / "scripts" / "bench_pairs.py", checkout / "scripts")
+    (checkout / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (checkout / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}))
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "fake checkout"]):
+        subprocess.run(git + args, cwd=checkout, check=True, capture_output=True)
+    temp, log = tmp_path / "tmp", tmp_path / "runs.txt"
+    temp.mkdir()
+    env = {**os.environ, "TMPDIR": str(temp), "FAKE_RUN_LOG": str(log)}
+    driver = subprocess.Popen(
+        [sys.executable, "scripts/bench_pairs.py", "--parent", "HEAD",
+         "--out", str(tmp_path / "out.json"), "w:1"],
+        cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    pid = None
+    try:
+        deadline = time.monotonic() + 60
+        while pid is None and time.monotonic() < deadline and driver.poll() is None:
+            if log.exists() and log.read_text().endswith("\n"):
+                pid, work = log.read_text().split()
+                pid, work = int(pid), pathlib.Path(work)
+            time.sleep(0.05)
+        assert pid is not None and work.is_dir(), driver.stderr.read() if driver.poll() is not None else ""
+        driver.send_signal(signal.SIGTERM)
+        _, stderr = driver.communicate(timeout=60)
+        assert not alive(pid)
+        assert not work.exists()
+        assert list(temp.iterdir()) == []
+        assert driver.returncode == 128 + signal.SIGTERM, stderr
+    finally:
+        if driver.poll() is None:
+            driver.kill()
+        if pid is not None:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
