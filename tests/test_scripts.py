@@ -163,7 +163,7 @@ def alive(pid):
 
 def test_bench_pairs_stops_its_run_on_sigterm(tmp_path):
     # a checkout whose perfbench/run.py records its pid and work directory,
-    # then sleeps until interrupted; SIGTERM the driver while the run sleeps
+    # then sleeps until interrupted; SIGTERM bench_pairs.py while the run sleeps
     checkout = tmp_path / "checkout"
     (checkout / "scripts").mkdir(parents=True)
     (checkout / "perfbench").mkdir()
@@ -177,28 +177,28 @@ def test_bench_pairs_stops_its_run_on_sigterm(tmp_path):
     temp, log = tmp_path / "tmp", tmp_path / "runs.txt"
     temp.mkdir()
     env = {**os.environ, "TMPDIR": str(temp), "FAKE_RUN_LOG": str(log)}
-    driver = subprocess.Popen(
+    script = subprocess.Popen(
         [sys.executable, "scripts/bench_pairs.py", "--parent", "HEAD",
          "--out", str(tmp_path / "out.json"), "w:1"],
         cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     pid = None
     try:
         deadline = time.monotonic() + 60
-        while pid is None and time.monotonic() < deadline and driver.poll() is None:
+        while pid is None and time.monotonic() < deadline and script.poll() is None:
             if log.exists() and log.read_text().endswith("\n"):
                 pid, work = log.read_text().split()
                 pid, work = int(pid), pathlib.Path(work)
             time.sleep(0.05)
-        assert pid is not None and work.is_dir(), driver.stderr.read() if driver.poll() is not None else ""
-        driver.send_signal(signal.SIGTERM)
-        _, stderr = driver.communicate(timeout=60)
+        assert pid is not None and work.is_dir(), script.stderr.read() if script.poll() is not None else ""
+        script.send_signal(signal.SIGTERM)
+        _, stderr = script.communicate(timeout=60)
         assert not alive(pid)
         assert not work.exists()
         assert list(temp.iterdir()) == []
-        assert driver.returncode == 128 + signal.SIGTERM, stderr
+        assert script.returncode == 128 + signal.SIGTERM, stderr
     finally:
-        if driver.poll() is None:
-            driver.kill()
+        if script.poll() is None:
+            script.kill()
         if pid is not None:
             try:
                 os.kill(pid, signal.SIGKILL)
