@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for quotient presentations of toric varieties
 and for realizing codimension-one torus actions inside the big torus."""
 
-from .cones import Cone, cone_from_rays, zero_cone
+from .cones import Cone, cone_from_rays
 from .cox import (
     ClassGroupElement,
     CoxPresentation,

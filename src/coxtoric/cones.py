@@ -5,6 +5,7 @@ computed dual description: facet normals (one per facet, taken inside the
 cone's linear span) and the span's defining equations in Hermite form.  It
 is a function of the cone alone, not of the generators the cone was built
 from.  All predicates are decided exactly over the integers/rationals.
+Cones are built by `cone_from_rays`; the zero cone is `cone_from_rays(rank, ())`.
 
 There is one facet search, `dual_constraints`: brute force over the
 (dim-1)-subsets of generators, which is entirely adequate at the intended
@@ -170,11 +171,6 @@ class Cone:
                 + tuple(tuple(-x for x in e) for e in c.span_equations)]
         rays, _ = dual_constraints(self.ambient_rank, dual)
         return cone_from_rays(self.ambient_rank, rays)
-
-
-def zero_cone(rank: int) -> Cone:
-    normals, eqs = dual_constraints(rank, [])
-    return Cone(rank, (), tuple(normals), tuple(eqs), ())
 
 
 def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:

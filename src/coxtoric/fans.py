@@ -8,8 +8,9 @@ shared by two cones on opposite sides or on a supporting hyperplane of
 cone(all rays), and one point covered once.  Other collections are checked
 pair by pair by the separation lemma (Fulton, *Introduction to Toric
 Varieties*, 1.2; Cox-Little-Schenck, Lemma 1.2.13): sigma and tau meet in a
-common face iff some covector u, >= 0 on sigma and <= 0 on tau, vanishes on
-the same rays F of both, and then sigma meets tau in cone(F).  Every cone
+common face iff the covector u, the sum of the facet normals of
+cone(sigma, -tau), vanishes on the same rays F of both, and then sigma meets
+tau in cone(F); one facet search per pair.  Every cone
 is a face of a maximal one, so membership, maps of fans and walls are
 decided on the maximal cones.  The face closure `all_cones` is held
 combinatorially, as ray-index tuples read off each maximal cone's
@@ -31,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
-from .cones import Cone, cone_from_rays, dual_constraints, zero_cone
+from .cones import Cone, cone_from_rays, dual_constraints
 from .errors import FanValidationError, ShapeError, UnsupportedShapeError
 from .intlin import IntMatrix, Vector, dot, primitive_vector, saturation_basis, solve_scaled
 
@@ -69,7 +69,7 @@ class Fan:
     def _covering_cones(self) -> tuple[Cone, ...]:
         """Cones of which every cone of the fan is a face: the maximal
         cones, or the zero cone alone when there are none."""
-        return self.max_cones or (zero_cone(self.rank),)
+        return self.max_cones or (cone_from_rays(self.rank, ()),)
 
     @cached_property
     def _ray_positions(self) -> dict[Vector, int]:
@@ -208,39 +208,23 @@ def _locally_certified(rank: int, cones: Sequence[Cone]) -> bool:
     return not any(c.contains_point(point) for c in cones[1:])
 
 
-def _cut_out(u: Vector, sigma: Cone, tau: Cone):
-    """The rays of sigma and of tau on which u vanishes, or None unless u
-    is >= 0 on the rays of sigma and <= 0 on those of tau."""
-    values = [dot(u, r) for r in sigma.rays]
-    if any(v < 0 for v in values):
-        return None
-    sigma_zero = [r for r, v in zip(sigma.rays, values) if v == 0]
-    values = [dot(u, r) for r in tau.rays]
-    if any(v > 0 for v in values):
-        return None
-    return sigma_zero, [r for r, v in zip(tau.rays, values) if v == 0]
-
-
 def _separation(rank: int, sigma: Cone, tau: Cone):
     """A covector u >= 0 on sigma and <= 0 on tau with the rays it cuts out
     of each, (u, F, G); F and G are the same set iff sigma meets tau in a
     common face, which is then cone(F).
 
-    A facet normal of sigma or a negated one of tau settles most pairs by
-    dot products.  Otherwise u is the sum of the facet normals of
-    cone(sigma, -tau), which lies in the relative interior of the dual
-    cone (sigma - tau)^v, where the lemma is exact in both directions.
+    u is the sum of the facet normals of cone(sigma, -tau), or 0 when it has
+    none; it lies in the relative interior of the dual cone (sigma - tau)^v,
+    where the lemma is exact in both directions.
     """
-    for u in chain(sigma.facet_normals, (tuple(-x for x in n) for n in tau.facet_normals)):
-        cut = _cut_out(u, sigma, tau)
-        if cut is not None and set(cut[0]) == set(cut[1]):
-            return (u, *cut)
     normals, _ = dual_constraints(rank, sigma.rays + tuple(tuple(-x for x in r) for r in tau.rays))
     u = tuple(sum(col) for col in zip(*normals)) if normals else (0,) * rank
-    cut = _cut_out(u, sigma, tau)
-    if cut is None:
+    sigma_values = [dot(u, r) for r in sigma.rays]
+    tau_values = [dot(u, r) for r in tau.rays]
+    if any(v < 0 for v in sigma_values) or any(v > 0 for v in tau_values):
         raise ArithmeticError(f"sum of facet normals {u} does not separate {sigma!r} from {tau!r}")
-    return (u, *cut)
+    return (u, [r for r, v in zip(sigma.rays, sigma_values) if v == 0],
+            [r for r, v in zip(tau.rays, tau_values) if v == 0])
 
 
 def fan_from_max_cones(rank: int, cones: Sequence[Cone]) -> Fan:

@@ -28,7 +28,6 @@ from .intlin import (
     kernel_basis,
     lattice_canonical_form,
     lattice_membership,
-    vector_gcd,
 )
 
 # A scalar string: "p" or "p/q" of ASCII digits, p optionally signed.  Fraction's
@@ -189,7 +188,7 @@ def classify_quotient(group: DiagonalizableSubgroup) -> Vector | None:
         raise HypothesisError(
             f"subgroup has dimension {group.dimension}, expected {m - 1}")
     gen = group.canonical_relations.column(0)
-    if vector_gcd(gen) != 1:
+    if gcd(*gen) != 1:
         raise HypothesisError("subgroup is not connected")
     return gen if all(x >= 0 for x in gen) else None
 
@@ -267,7 +266,7 @@ def character_root_isogeny(xi: Sequence[int], d: int) -> tuple[IntMatrix, Vector
         raise ShapeError("character must live in a torus of rank >= 1")
     xi = tuple(map(index, xi))
     u = gcd_transform(xi)
-    factor = d // gcd(d, vector_gcd(xi))
+    factor = d // gcd(d, *xi)
     kappa_t = (tuple(factor * x for x in u.entries[0]),) + u.entries[1:]
     image = tuple(sum(map(mul, row, xi)) for row in kappa_t)
     if any(x % d for x in image):

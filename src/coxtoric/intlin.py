@@ -42,13 +42,9 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
-def vector_gcd(v: Sequence[int]) -> int:
-    return gcd(*v)
-
-
 def primitive_vector(v: Sequence[int]) -> Vector:
     """Divide v by the (positive) gcd of its entries, keeping direction."""
-    g = vector_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise InvalidRayError("zero vector has no primitive representative")
     return tuple(a // g for a in v)
@@ -383,12 +379,12 @@ def gcd_transform(v: Sequence[int]) -> IntMatrix:
     Smith form of v as one column, the one `smith_normal_form` builds from
     the same row log, without V, D or their products.  A column takes no
     column operation, so V = [1] and D = (g, 0, ..., 0)^T, and the check
-    U*v = (g, 0, ..., 0), with g from `vector_gcd`, is all of U*A*V = D;
+    U*v = (g, 0, ..., 0), with g from `math.gcd`, is all of U*A*V = D;
     ArithmeticError if it fails."""
     v = tuple(map(index, v))
     a = _built([(x,) for x in v], 1)
     u = _row_transform(a._smith[1], a.rows)
-    target = ((vector_gcd(v),) + (0,) * a.rows)[:a.rows]
+    target = ((gcd(*v),) + (0,) * a.rows)[:a.rows]
     if u.apply(v) != target:
         raise ArithmeticError(f"U = {u} does not send {v} to {target}")
     return u

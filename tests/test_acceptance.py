@@ -38,7 +38,7 @@ from coxtoric.groups import (
     commutes_with_torus,
     hyperplane_permutation_report,
 )
-from coxtoric.intlin import IntMatrix, smith_normal_form, vector_gcd
+from coxtoric.intlin import IntMatrix, smith_normal_form
 from fangen import random_simplicial_fan
 from oracles import cone_contains_lp, det_cofactor, smith_diagonal_by_minors
 
@@ -126,7 +126,7 @@ def test_criterion_5_isogeny_and_lifting(corpus):
             d = rng.randint(1, 12)
             kappa, xi0 = character_root_isogeny(xi, d)
             assert kappa.transpose().apply(xi) == tuple(d * x for x in xi0)
-            g = vector_gcd(xi)
+            g = gcd(*xi)
             assert abs(det_cofactor(kappa.entries)) == (1 if g == 0 else d // gcd(d, g))
         quadric = cox_presentation(corpus["quadric_cone"])
         assert lift_subtorus(quadric, IntMatrix.from_rows([[0], [1]])).degree == 2
@@ -152,7 +152,7 @@ def test_criterion_6_diagonal_suite_exhaustive():
         for m in range(1, 6):
             perms = list(permutations(range(m)))
             for a in product(range(-3, 4), repeat=m):
-                if not any(a) or vector_gcd(a) != 1:
+                if not any(a) or gcd(*a) != 1:
                     continue
                 if next(x for x in a if x) < 0:
                     continue  # a and -a define the same subgroup
@@ -163,7 +163,7 @@ def test_criterion_6_diagonal_suite_exhaustive():
                 assert (result is not None) == one_signed, a
                 if result is None:
                     continue
-                assert vector_gcd(result) == 1
+                assert gcd(*result) == 1
                 for perm in perms:
                     mats = [MonomialMatrix(perm, s) for s in sample_scalars[m]]
                     reports = [hyperplane_permutation_report(g, result) for g in mats]

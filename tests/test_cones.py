@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxtoric import cones
-from coxtoric.cones import Cone, cone_from_rays, zero_cone
+from coxtoric.cones import Cone, cone_from_rays
 from coxtoric.errors import InvalidRayError, ShapeError, StrongConvexityError
 from coxtoric.intlin import IntMatrix, dot, lattice_canonical_form
 from oracles import cone_contains_lp
@@ -28,7 +28,7 @@ def _draw_cone(draw, rank):
     try:
         return cone_from_rays(rank, gens)
     except StrongConvexityError:
-        return zero_cone(rank)
+        return cone_from_rays(rank, ())
 
 
 @st.composite
@@ -76,10 +76,15 @@ class TestConstruction:
             cone_from_rays(2, [(1, 0), (0, 1, 0)])
 
     def test_zero_cone(self):
-        z = zero_cone(3)
-        assert z.rays == ()
-        assert z.dim == 0
-        assert z.is_simplicial() and z.is_smooth()
+        for rank in range(6):
+            z = cone_from_rays(rank, ())
+            assert z.rays == ()
+            assert z.facet_normals == ()
+            assert z.span_equations == tuple(tuple(int(i == j) for j in range(rank))
+                                             for i in range(rank))
+            assert z.facet_rays == ()
+            assert z.dim == 0
+            assert z.is_simplicial() and z.is_smooth()
 
 
 @st.composite
@@ -247,7 +252,7 @@ class TestDualDescription:
 
     @given(pointed_cones())
     def test_dual_of_dual_roundtrip(self, c):
-        again = cone_from_rays(c.ambient_rank, c.rays) if c.rays else zero_cone(c.ambient_rank)
+        again = cone_from_rays(c.ambient_rank, c.rays)
         assert again == c
         assert set(again.facet_normals) == set(c.facet_normals)
 
@@ -295,7 +300,7 @@ class TestIntersect:
 
     def test_zero_intersection(self):
         neg = cone_from_rays(2, [(-1, 0), (-1, -1)])
-        assert quadrant().intersect(neg) == zero_cone(2)
+        assert quadrant().intersect(neg) == cone_from_rays(2, ())
 
     def test_common_facet(self):
         upper = cone_from_rays(2, [(0, 1), (-1, 0)])
@@ -361,7 +366,7 @@ class TestFaces:
 
     def test_face_relation(self):
         q = quadrant()
-        assert zero_cone(2).is_face_of(q)
+        assert cone_from_rays(2, ()).is_face_of(q)
         assert cone_from_rays(2, [(1, 0)]).is_face_of(q)
         assert not cone_from_rays(2, [(1, 1)]).is_face_of(q)
         assert q.is_face_of(q)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxtoric import cones, fans, intlin
-from coxtoric.cones import Cone, cone_from_rays, zero_cone
+from coxtoric.cones import Cone, cone_from_rays
 from coxtoric.corpus import affine_space, corpus_fans
 from coxtoric.errors import (
     FanValidationError,
@@ -96,7 +96,7 @@ class TestConstruction:
         fan_list += [random_complete_simplicial_fan(rng, rng.randint(1, 3)) for _ in range(10)]
         for fan in fan_list:
             expected = set()
-            for c in fan.max_cones or [zero_cone(fan.rank)]:
+            for c in fan.max_cones or [cone_from_rays(fan.rank, ())]:
                 for k in range(len(c.facet_normals) + 1):
                     for subset in combinations(c.facet_normals, k):
                         expected.add(frozenset(
@@ -322,6 +322,17 @@ class TestSeparation:
             "cones 0 and 1 overlap: u = (0, 0) cuts out rays [(1, 0), (0, 1)] "
             "of cone 0 but rays [(1, 1), (0, 1)] of cone 1")
 
+    def test_one_facet_search_per_pair(self, count_calls):
+        # collections that the local certificate refuses: each pair takes
+        # the facet search of cone(sigma, -tau) and no other
+        rays = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]
+        wedges = [cone_from_rays(2, pair) for pair in zip(rays, rays[1:])]
+        for collection, pairs in [(three_quadrants().max_cones, 3), (wedges, 15)]:
+            assert not fans._locally_certified(2, collection)
+            calls = count_calls(fans, "dual_constraints")
+            assert fan_from_max_cones(2, collection).max_cones == tuple(collection)
+            assert calls == {"dual_constraints": pairs}
+
     def test_validation_intersects_no_cones(self, corpus, rng, monkeypatch):
         calls = []
         for name in ("intersect", "is_face_of"):
@@ -345,8 +356,8 @@ class TestSeparation:
     def test_inconsistent_dual_data_raises_arithmetic_error(self, monkeypatch):
         pinched = fan_from_max_cones(2, [cone_from_rays(2, [(1, 0), (0, 1)]),
                                          cone_from_rays(2, [(-1, 0), (0, -1)])])
-        # the pinched pair needs the summed normals; a normal negative on a
-        # ray of the first cone is no separating functional
+        # a summed normal negative on a ray of the first cone is no
+        # separating functional
         monkeypatch.setattr(fans, "dual_constraints", lambda rank, gens: ([(1, -1)], []))
         with pytest.raises(ArithmeticError, match="does not separate"):
             fan_from_max_cones(2, pinched.max_cones)

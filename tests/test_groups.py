@@ -29,7 +29,6 @@ from coxtoric.intlin import (
     IntMatrix,
     lattice_canonical_form,
     smith_normal_form,
-    vector_gcd,
 )
 from oracles import det_cofactor, invariant_factors_by_minors, rank_fraction_gauss
 
@@ -41,7 +40,7 @@ def weight(rows):
 
 def isogeny_by_diagonal_product(xi, d):
     """character_root_isogeny by its defining product diag(f, 1, ..., 1) * U."""
-    r, g = len(xi), vector_gcd(xi)
+    r, g = len(xi), gcd(*xi)
     if g == 0:
         return IntMatrix.identity(r), (0,) * r
     u = smith_normal_form(IntMatrix.from_columns([xi], rows=r)).U
@@ -123,13 +122,13 @@ class TestClassifyQuotient:
 
     @given(st.lists(st.integers(-4, 4), min_size=1, max_size=5).filter(any))
     def test_monomial_iff_one_signed(self, a):
-        g = vector_gcd(a)
+        g = gcd(*a)
         a = tuple(x // g for x in a)
         result = classify_quotient(rank_one_subgroup(a))
         one_signed = all(x >= 0 for x in a) or all(x <= 0 for x in a)
         assert (result is not None) == one_signed
         if result is not None:
-            assert vector_gcd(result) == 1
+            assert gcd(*result) == 1
             assert all(x >= 0 for x in result)
 
     def test_dependent_relation_columns(self):
@@ -368,7 +367,7 @@ class TestCommutesWithTorus:
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=5).filter(any))
     @settings(max_examples=25)
     def test_rank_one_verdict_is_the_hermite_comparison(self, a):
-        g = vector_gcd(a)
+        g = gcd(*a)
         group = rank_one_subgroup(tuple(x // g for x in a))
         canonical = lattice_canonical_form(group.relations)
         for perm in permutations(range(len(a))):
@@ -470,8 +469,8 @@ class TestCharacterRootIsogeny:
         # the isogeny reads U alone: V = [1] and U * xi = (gcd(xi), 0, ..., 0)
         snf = smith_normal_form(IntMatrix.from_columns([xi], rows=len(xi)))
         assert snf.V == IntMatrix.identity(1)
-        assert snf.D.entries[0][0] == vector_gcd(xi)
-        assert snf.U.apply(xi) == (vector_gcd(xi),) + (0,) * (len(xi) - 1)
+        assert snf.D.entries[0][0] == gcd(*xi)
+        assert snf.U.apply(xi) == (gcd(*xi),) + (0,) * (len(xi) - 1)
 
     @given(st.lists(st.integers(-30, 30), min_size=1, max_size=5), st.integers(1, 40))
     def test_equals_the_diagonal_product(self, xi, d):
@@ -481,7 +480,7 @@ class TestCharacterRootIsogeny:
     def test_identity_and_determinant(self, xi, d):
         kappa, xi0 = character_root_isogeny(xi, d)
         assert kappa.transpose().apply(xi) == tuple(d * x for x in xi0)
-        g = vector_gcd(xi)
+        g = gcd(*xi)
         expected = 1 if g == 0 else d // gcd(d, g)
         assert abs(det_cofactor(kappa.entries)) == expected
 
@@ -507,7 +506,7 @@ class TestSmallExhaustive:
         from itertools import product
         for m in range(1, 4):
             for a in product(range(-2, 3), repeat=m):
-                if not any(a) or vector_gcd(a) != 1:
+                if not any(a) or gcd(*a) != 1:
                     continue
                 group = rank_one_subgroup(a)
                 result = classify_quotient(group)

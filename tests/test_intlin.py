@@ -24,7 +24,6 @@ from coxtoric.intlin import (
     smith_normal_form,
     solve_integer,
     solve_scaled,
-    vector_gcd,
 )
 from oracles import (
     brute_divisibility_index,
@@ -447,7 +446,7 @@ class TestMembershipAndSolve:
         xs = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=a.cols,
                                          max_size=a.cols), max_size=3))
         rhs = [a.apply(x) for x in xs]
-        rhs += [tuple(t // (vector_gcd(b) or 1) for t in b) for b in rhs]
+        rhs += [tuple(t // (gcd(*b) or 1) for t in b) for b in rhs]
         h, v, _ = column_hermite_normal_form(a)
         found = [intlin._back_substitute(h.entries, b, a.cols) for b in rhs]
         d = lcm(*(dj for dj, _ in found))
@@ -830,7 +829,7 @@ class TestGcdTransform:
     def test_is_the_row_transform_of_the_smith_form_of_a_column(self, v):
         u = gcd_transform(v)
         assert u == smith_normal_form(IntMatrix.from_columns([v], rows=len(v))).U
-        assert u.apply(v) == ((vector_gcd(v),) + (0,) * len(v))[:len(v)]
+        assert u.apply(v) == ((gcd(*v),) + (0,) * len(v))[:len(v)]
         assert all(type(x) is int for row in u.entries for x in row)
 
     def test_zero_and_empty_vectors(self):

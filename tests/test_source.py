@@ -90,3 +90,23 @@ def test_no_module_memoises_by_value():
                   and isinstance(node.value, ast.Name) and node.value.id == "functools"):
                 found.append(f"{path.name}:{node.lineno} functools.{node.attr}")
     assert found == []
+
+
+def test_every_private_helper_is_called():
+    # a module-level helper that no code of the package references, other
+    # than its own body, is dead
+    files = sorted(Path(coxtoric.__file__).parent.glob("*.py"))
+    helpers, used = [], set()
+    for path in files:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            own = getattr(top, "name", None)
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and own.startswith("_") and not own.startswith("__")):
+                helpers.append((own, f"{path.name}:{top.lineno}"))
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else own)
+                if name != own:
+                    used.add(name)
+    assert len(helpers) > 30
+    assert [f"{where} {name}" for name, where in helpers if name not in used] == []
