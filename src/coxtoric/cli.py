@@ -6,7 +6,8 @@ snf.  Fans are read from the shared JSON schema ({"rank", "rays",
 weight actions are {"rank": r, "weights": [[..], ..]} with an optional
 "monomial_matrices" list of {"perm": [..], "scalars": [..]}, each scalar a
 string "p/q" or an integer.
-Exit codes: 0 success, 1 unmet hypothesis, 2 malformed input.
+Each handler returns its payload; `main` writes it, as text or with --json,
+and picks the exit code: 0 success, 1 unmet hypothesis, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ def _parse_matrix(data, what: str) -> IntMatrix:
     return IntMatrix.from_rows(data)
 
 
-def _load_matrix(path: str, what: str) -> IntMatrix:
-    return _parse_matrix(_load_json(path), what)
-
-
 def _parse_weight_action(data, cols: int | None = None) -> WeightAction:
     """`cols`, when given, is the width of a rank-0 action's weight matrix,
     which its empty list of rows does not carry."""
@@ -127,31 +124,28 @@ def _emit(payload: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> dict:
     fan = _load_fan(args.fan)
-    _emit({"valid": True, "rank": fan.rank, "rays": len(fan.rays),
-           "max_cones": len(fan.max_cones), "cones": len(fan.all_cones)},
-          args.json)
-    return 0
+    return {"valid": True, "rank": fan.rank, "rays": len(fan.rays),
+            "max_cones": len(fan.max_cones), "cones": len(fan.all_cones)}
 
 
-def _cmd_properties(args) -> int:
+def _cmd_properties(args) -> dict:
     fan = _load_fan(args.fan)
-    _emit({
+    return {
         "nondegenerate": fan.is_nondegenerate(),
         "complete": fan.is_complete(),
         "convex_support": convex_support_verdict(fan),
         "smooth": cox_mod.variety_is_smooth(fan),
-    }, args.json)
-    return 0
+    }
 
 
-def _cmd_cox(args) -> int:
+def _cmd_cox(args) -> dict:
     fan = _load_fan(args.fan)
     p = cox_mod.cox_presentation(fan)
     _, subgroup, class_group = presentation_summary(p)
     codim = cox_mod.complement_codim(p)
-    _emit({
+    return {
         "m": p.num_coordinates,
         "q_matrix": _matrix_rows(p.q_matrix),
         "sigma_max_cones": [list(s) for s in p.sigma],
@@ -159,38 +153,35 @@ def _cmd_cox(args) -> int:
         "class_group": class_group,
         "complement_codim": codim,
         "complement_empty": codim == p.num_coordinates + 1,
-    }, args.json)
-    return 0
+    }
 
 
-def _cmd_classgroup(args) -> int:
+def _cmd_classgroup(args) -> dict:
     fan = _load_fan(args.fan)
     p = cox_mod.cox_presentation(fan)
     free, torsion = cox_mod.class_group(p)
     degrees = cox_mod.ray_degrees(p)
-    _emit({
+    return {
         "free": free,
         "torsion": list(torsion),
         "ray_degrees": [{"free": list(d.free_part), "torsion": list(d.torsion_part)}
                         for d in degrees],
-    }, args.json)
-    return 0
+    }
 
 
-def _cmd_lift(args) -> int:
+def _cmd_lift(args) -> dict:
     fan = _load_fan(args.fan)
-    iota = _load_matrix(args.iota, "iota")
+    iota = _parse_matrix(_load_json(args.iota), "iota")
     p = cox_mod.cox_presentation(fan)
     result = cox_mod.lift_subtorus(p, iota)
-    _emit({
+    return {
         "degree": result.degree,
         "weights": _matrix_rows(result.weights),
         "effective": result.effective,
-    }, args.json)
-    return 0
+    }
 
 
-def _cmd_diag(args) -> int:
+def _cmd_diag(args) -> dict:
     data = _load_json(args.weights)
     action = _parse_weight_action(data)
     if action.weights.cols == 0:
@@ -217,29 +208,25 @@ def _cmd_diag(args) -> int:
             entry["fixes_zero_support"] = report.fixes_zero_support
             entry["permutes_positive_support"] = report.permutes_positive_support
         payload["monomial_matrices"].append(entry)
-    _emit(payload, args.json)
-    return 0
+    return payload
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> dict:
     fan = _load_fan(args.fan)
     action = _parse_weight_action(_load_json(args.weights), len(fan.rays))
-    report = theorem_pipeline(fan, action)
-    _emit(report.to_dict(), args.json)
-    return 0 if report.hypotheses_met else 1
+    return theorem_pipeline(fan, action).to_dict()
 
 
-def _cmd_snf(args) -> int:
-    matrix = _load_matrix(args.matrix, "matrix")
+def _cmd_snf(args) -> dict:
+    matrix = _parse_matrix(_load_json(args.matrix), "matrix")
     snf = smith_normal_form(matrix)
-    _emit({
+    return {
         "D": _matrix_rows(snf.D),
         "U": _matrix_rows(snf.U),
         "V": _matrix_rows(snf.V),
         "invariant_factors": list(snf.invariant_factors()),
         "rank": snf.rank(),
-    }, args.json)
-    return 0
+    }
 
 
 # name: (handler, help, positional argument[, required option, its help])
@@ -285,7 +272,9 @@ def main(argv=None) -> int:
     if previous_limit:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        _emit(payload, args.json)
+        return 0 if payload.get("hypotheses_met", True) else 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import index, mul
 from typing import Sequence
 
@@ -57,10 +57,6 @@ class DiagonalizableSubgroup:
     def canonical_relations(self) -> IntMatrix:
         """Canonical basis of the relation lattice, taken once per subgroup."""
         return lattice_canonical_form(self.relations)
-
-    @staticmethod
-    def full_torus(ambient: int) -> DiagonalizableSubgroup:
-        return DiagonalizableSubgroup(ambient, IntMatrix.zero(ambient, 0))
 
 
 @dataclass(frozen=True)
@@ -143,18 +139,22 @@ class MonomialMatrix:
         return MonomialMatrix(inv, scalars)
 
     def order(self) -> int:
-        ident = MonomialMatrix.identity(self.size)
-        power = self
-        n = 1
-        while power != ident:
-            power = power.compose(self)
-            n += 1
+        """The lcm, over the cycles C of perm, of |C| times the denominator of
+        the sum of the scalars on C: the |C|-th power fixes C and scales each
+        of its coordinates by that sum."""
+        n, seen = 1, set()
+        for i in range(self.size):
+            length, total = 0, Fraction(0)
+            while i not in seen:
+                seen.add(i)
+                length, total, i = length + 1, total + self.scalars[i], self.perm[i]
+            if length:
+                n = lcm(n, length * total.denominator)
         return n
 
 
 @dataclass(frozen=True)
 class HyperplanePermutationReport:
-    pi: tuple[int, ...]
     fixes_zero_support: bool
     permutes_positive_support: bool
 
@@ -207,13 +207,15 @@ def commutes_with_torus(g: MonomialMatrix, group: DiagonalizableSubgroup) -> boo
     itself.
 
     This is the normalizer condition; see centralizes_torus for elementwise
-    commutation, which is strictly stronger.  A rank-one lattice Z*a is kept
-    iff a permutes to a or -a; larger lattices compare Hermite forms.
+    commutation, which is strictly stronger.  The rows are permuted by perm
+    as given: a permutation P keeps a lattice exactly when P^-1 does.  A
+    rank-one lattice Z*a is kept iff a permutes to a or -a; larger lattices
+    compare Hermite forms.
     """
     if g.size != group.ambient:
         raise ShapeError("monomial matrix size does not match ambient rank")
     canonical = group.canonical_relations
-    rows = tuple(canonical.row(j) for j in g._perm_inverse())
+    rows = tuple(canonical.entries[p] for p in g.perm)
     if canonical.cols == 1:
         return rows == canonical.entries or rows == tuple((-x,) for (x,) in canonical.entries)
     return lattice_canonical_form(IntMatrix.from_rows(rows, cols=canonical.cols)) == canonical
@@ -244,7 +246,6 @@ def hyperplane_permutation_report(g: MonomialMatrix, exponents: Sequence[int]) -
     zero = [i for i, a in enumerate(exponents) if a == 0]
     positive = {i for i, a in enumerate(exponents) if a > 0}
     return HyperplanePermutationReport(
-        pi=g.perm,
         fixes_zero_support=all(g.perm[i] == i for i in zero),
         permutes_positive_support={g.perm[i] for i in positive} == positive,
     )

@@ -105,9 +105,6 @@ class IntMatrix:
     def zero(rows: int, cols: int) -> IntMatrix:
         return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 

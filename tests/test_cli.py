@@ -351,16 +351,28 @@ class TestCliCommands:
         w = write(tmp_path, "w.json", '{"rank": 1, "weights": [[' + "7" * 4300 + ', 0]]}')
         assert main(["pipeline", fan_files["a2"], "--weights", w, "--json"]) == 1
 
-    def test_pipeline_success_and_failure_exit_codes(self, fan_files, tmp_path, capsys):
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    def test_pipeline_success_and_failure_exit_codes(self, as_json, fan_files, tmp_path, capsys):
+        # a failing report is still written in full, in either format
+        flag = ["--json"] if as_json else []
         w = write(tmp_path, "w.json", {"rank": 1, "weights": [[1, 0, 0]]})
-        assert main(["pipeline", fan_files["bl0_a2"], "--weights", w, "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["hypotheses_met"] is True
-        assert data["embedding"] == [[1], [0]]
+        assert main(["pipeline", fan_files["bl0_a2"], "--weights", w] + flag) == 0
+        out = capsys.readouterr().out
+        if as_json:
+            data = json.loads(out)
+            assert data["hypotheses_met"] is True
+            assert data["embedding"] == [[1], [0]]
+        else:
+            assert "hypotheses_met: True\n" in out and "embedding: [[1], [0]]\n" in out
         w2 = write(tmp_path, "w2.json", {"rank": 1, "weights": [[1, 1, 1]]})
-        assert main(["pipeline", fan_files["p2"], "--weights", w2, "--json"]) == 1
-        data = json.loads(capsys.readouterr().out)
-        assert data["diagnostic"] == "wrong-dimension"
+        assert main(["pipeline", fan_files["p2"], "--weights", w2] + flag) == 1
+        out = capsys.readouterr().out
+        if as_json:
+            data = json.loads(out)
+            assert data["hypotheses_met"] is False
+            assert data["diagnostic"] == "wrong-dimension"
+        else:
+            assert "hypotheses_met: False\n" in out and "diagnostic: wrong-dimension\n" in out
 
     @pytest.mark.parametrize("name", ["a1", "p1"])
     def test_pipeline_reads_a_rank_0_weights_file_on_a_rank_1_fan(

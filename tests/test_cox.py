@@ -364,7 +364,7 @@ class TestLiftSubtorus:
             result = lift_subtorus(p, first_ray)
             assert result.degree == 1, name
             e1 = tuple(1 if i == 0 else 0 for i in range(p.num_coordinates))
-            assert result.weights.row(0) == e1, name
+            assert result.weights.entries[0] == e1, name
 
     def test_degree_one_for_fans_with_smooth_max_cone(self, corpus, rng):
         for name in ["a1", "a2", "a3", "p1", "p2", "p1xp1", "f0", "f1", "f2",
@@ -411,7 +411,7 @@ class TestLiftSubtorus:
                 if m.rank() != 1:
                     continue
                 result = lift_subtorus(p, m)
-                assert p.q_matrix.apply(result.weights.row(0)) == tuple(
+                assert p.q_matrix.apply(result.weights.entries[0]) == tuple(
                     result.degree * x for x in m.column(0))
                 # no smaller degree admits an integral solution for the column
                 for smaller in range(1, result.degree):

@@ -110,3 +110,20 @@ def test_every_private_helper_is_called():
                     used.add(name)
     assert len(helpers) > 30
     assert [f"{where} {name}" for name, where in helpers if name not in used] == []
+
+
+def test_cli_writes_in_one_place():
+    # each handler returns its payload; only main writes it and picks the
+    # exit code, so no handler may call _emit or read --json
+    path = Path(coxtoric.__file__).parent / "cli.py"
+    found = []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        own = getattr(top, "name", "module")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "_emit" and own != "main":
+                found.append(f"{own}:{node.lineno} _emit")
+            elif (isinstance(node, ast.Attribute) and node.attr == "json"
+                  and isinstance(node.value, ast.Name) and node.value.id == "args"
+                  and own.startswith("_cmd_")):
+                found.append(f"{own}:{node.lineno} args.json")
+    assert found == []
