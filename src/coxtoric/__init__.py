@@ -34,7 +34,6 @@ from .groups import (
     character_root_isogeny,
     classify_quotient,
     commutes_with_torus,
-    contains_coordinate_subtorus,
     decompose_subgroup,
     hyperplane_permutation_report,
     is_effective,

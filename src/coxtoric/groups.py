@@ -114,30 +114,6 @@ class MonomialMatrix:
     def size(self) -> int:
         return len(self.perm)
 
-    @staticmethod
-    def identity(m: int) -> MonomialMatrix:
-        return MonomialMatrix(tuple(range(m)), (Fraction(0),) * m)
-
-    def _perm_inverse(self) -> tuple[int, ...]:
-        inv = [0] * self.size
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return tuple(inv)
-
-    def compose(self, other: MonomialMatrix) -> MonomialMatrix:
-        """self after other."""
-        if self.size != other.size:
-            raise ShapeError("monomial matrices of different sizes")
-        inv = self._perm_inverse()
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.size))
-        scalars = tuple(self.scalars[i] + other.scalars[inv[i]] for i in range(self.size))
-        return MonomialMatrix(perm, scalars)
-
-    def inverse(self) -> MonomialMatrix:
-        inv = self._perm_inverse()
-        scalars = tuple(-self.scalars[self.perm[i]] for i in range(self.size))
-        return MonomialMatrix(inv, scalars)
-
     def order(self) -> int:
         """The lcm, over the cycles C of perm, of |C| times the denominator of
         the sum of the scalars on C: the |C|-th power fixes C and scales each
@@ -191,14 +167,6 @@ def classify_quotient(group: DiagonalizableSubgroup) -> Vector | None:
     if gcd(*gen) != 1:
         raise HypothesisError("subgroup is not connected")
     return gen if all(x >= 0 for x in gen) else None
-
-
-def contains_coordinate_subtorus(group: DiagonalizableSubgroup, i: int) -> bool:
-    """Whether the one-parameter subgroup in coordinate i lies in the group
-    (all defining characters vanish on it)."""
-    if not 0 <= i < group.ambient:
-        raise ShapeError(f"coordinate {i} out of range for ambient {group.ambient}")
-    return all(group.relations.entries[i][j] == 0 for j in range(group.relations.cols))
 
 
 def commutes_with_torus(g: MonomialMatrix, group: DiagonalizableSubgroup) -> bool:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import copy
 import importlib
 import io
 import json
@@ -673,3 +674,115 @@ class TestCliFuzz:
             code = main(argv)
         assert code in (0, 1, 2)
         assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+def _paths(doc, path=()):
+    """Path (a tuple of keys and indices) of every node of a JSON document."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _paths(value, path + (key,))
+
+
+# literal JSON text that json.dumps cannot write: an integer past Python's
+# 4300-digit str conversion cap, and nesting past the decoder's recursion limit
+HUGE = [2 ** 64, -10 ** 30, "1" + "0" * 4301]
+NESTING = [2, 40, 1100]
+MUTATIONS = ["drop", "swap", "resize", "index", "huge", "nest"]
+
+
+@st.composite
+def mutated(draw, seed):
+    """The JSON text of `seed` after one to three mutations, each at a drawn
+    node: drop it, swap its type, resize it as a list, set an index that may
+    be out of range, set a huge integer, or nest it deeply."""
+    doc, raw = {"root": copy.deepcopy(seed)}, {}
+    for _ in range(draw(st.integers(1, 3), label="mutations")):
+        *path, key = ("root",) + draw(st.sampled_from(list(_paths(doc["root"]))), label="node")
+        parent = doc
+        for k in path:
+            parent = parent[k]
+        value = parent[key]
+        kind = draw(st.sampled_from(MUTATIONS), label="mutation")
+        if kind == "drop":
+            if key == "root":
+                parent[key] = type(value)() if isinstance(value, (dict, list)) else None
+            else:
+                del parent[key]
+            continue
+        if kind == "swap":
+            new = draw(st.sampled_from([None, True, 0, 1.5, "x", "1/2", [], {}]))
+        elif kind == "resize":
+            items = value if isinstance(value, list) and value else [value]
+            new = copy.deepcopy((items * 3)[:draw(st.integers(0, len(items) + 2))])
+        elif kind == "index":
+            new = draw(st.integers(-3, 40))
+        else:
+            new = f"raw{len(raw)}"
+            if kind == "huge":
+                raw[new] = str(draw(st.sampled_from(HUGE)))
+            else:
+                depth = draw(st.sampled_from(NESTING))
+                raw[new] = "[" * depth + json.dumps(value) + "]" * depth
+        parent[key] = new
+    text = json.dumps(doc["root"])
+    # later raw text may hold an earlier marker: expand the later first
+    for marker in reversed(raw):
+        text = text.replace(json.dumps(marker), raw[marker])
+    return text
+
+
+def _seed_files(fan):
+    """The well-formed files of each subcommand on a corpus fan."""
+    m = len(fan["rays"])
+    return {
+        "fan": fan,
+        "iota": [[1]] + [[0]] * (fan["rank"] - 1),
+        "weights": {"rank": 1, "weights": [[1] + [0] * (m - 1)]},
+        "matrix": [[2, 4, 4], [-6, 6, 12]],
+        "diag": {"rank": 1, "weights": [[1, -1]],
+                 "monomial_matrices": [{"perm": [1, 0], "scalars": ["1/2", "0"]}]},
+    }
+
+
+# the files each subcommand reads, in the order of its argv
+MUTATED_COMMANDS = {
+    "validate": ["fan"], "properties": ["fan"], "cox": ["fan"], "classgroup": ["fan"],
+    "lift": ["fan", "iota"], "diag": ["diag"], "pipeline": ["fan", "weights"], "snf": ["matrix"],
+}
+OPTIONS = {"iota": "--iota", "weights": "--weights"}
+
+
+class TestCliMutationFuzz:
+    """Corpus requests of every subcommand with mutated input files, and
+    now and then a mangled command line: each exits 0, 1 or 2, within 5 s,
+    with no exception escaping main."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutated")
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_mutated_corpus_requests_exit_0_1_or_2(self, workdir, data):
+        command = data.draw(st.sampled_from(sorted(MUTATED_COMMANDS)), label="command")
+        fan = data.draw(st.sampled_from(sorted(corpus_fans())), label="fan")
+        seeds = _seed_files(fan_to_dict(corpus_fans()[fan]))
+        argv = [command]
+        for kind in MUTATED_COMMANDS[command]:
+            path = workdir / f"{kind}.json"
+            if data.draw(st.booleans(), label=f"mutate {kind}"):
+                path.write_text(data.draw(mutated(seeds[kind]), label=kind))
+            else:
+                path.write_text(json.dumps(seeds[kind]))
+            argv += [OPTIONS[kind], str(path)] if kind in OPTIONS else [str(path)]
+        edit = data.draw(st.sampled_from(["", "", "", "--json", "--json", "--bogus", "pop"]))
+        if edit == "pop":
+            argv.pop()
+        elif edit:
+            argv.append(edit)
+        start = time.perf_counter()
+        code, _, err = exit_and_streams(main, argv)
+        assert time.perf_counter() - start < 5
+        assert code in (0, 1, 2)
+        assert code != 2 or err

@@ -127,3 +127,55 @@ def test_cli_writes_in_one_place():
                   and own.startswith("_cmd_")):
                 found.append(f"{own}:{node.lineno} args.json")
     assert found == []
+
+
+# public names that no code of the package, scripts/ or perfbench/ calls,
+# each with its reason: kept as library API, or traced by perfbench until
+# the benchmark rework (ROADMAP item 1) lets it go
+UNCALLED_PUBLIC_NAMES = {
+    "acts_freely": "library",
+    "degree_of_monomial": "library",
+    "Fan.convex_support_witness": "library",
+    "IntMatrix.identity": "library",
+    "Cone.intersect": "traced, item 1",
+    "Cone.is_face_of": "traced, item 1",
+    "is_map_of_fans": "traced, item 1",
+    "invert_unimodular": "traced, item 1",
+}
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public module-level function or class
+    and each public method of a module-level class."""
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+            continue
+        yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield f"{top.name}.{node.name}", node
+
+
+def test_every_public_name_has_a_caller():
+    # a public name referenced only by its own body, by tests or by the
+    # re-exports of __init__.py is dead unless it is allowlisted
+    package = Path(coxtoric.__file__).parent
+    root = package.parent.parent
+    callers = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    callers += sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in callers}
+    references = [(node.id if isinstance(node, ast.Name) else node.attr, node)
+                  for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))]
+    definitions = [d for path, tree in trees.items() if path.parent == package
+                   for d in _public_definitions(tree)]
+    uncalled = []
+    for qualified, definition in definitions:
+        own = {id(node) for node in ast.walk(definition)}
+        name = qualified.rpartition(".")[2]
+        if not any(ref == name and id(node) not in own for ref, node in references):
+            uncalled.append(qualified)
+    assert len(definitions) > 100
+    assert sorted(set(uncalled) - set(UNCALLED_PUBLIC_NAMES)) == []
+    assert sorted(set(UNCALLED_PUBLIC_NAMES) - set(uncalled)) == []
