@@ -38,6 +38,9 @@ from .cones import Cone, cone_from_rays, dual_constraints
 from .errors import FanValidationError, ShapeError, UnsupportedShapeError
 from .intlin import IntMatrix, Vector, dot, primitive_vector, saturation_basis, solve_scaled
 
+# Largest rank of a fan file with no rays, the one size its length does not bound
+MAX_RAYLESS_RANK = 200
+
 
 @dataclass(frozen=True)
 class Wall:
@@ -296,6 +299,8 @@ def fan_from_dict(data: dict) -> Fan:
         raise FanValidationError("rank must be a nonnegative integer")
     if not isinstance(rays, list) or not isinstance(max_cones, list):
         raise FanValidationError("rays and max_cones must be lists")
+    if not rays and rank > MAX_RAYLESS_RANK:
+        raise FanValidationError(f"a fan with no rays may have rank at most {MAX_RAYLESS_RANK}")
     parsed_rays = []
     for k, ray in enumerate(rays):
         if (not isinstance(ray, list) or len(ray) != rank

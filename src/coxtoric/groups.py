@@ -28,6 +28,8 @@ from .intlin import (
     kernel_basis,
     lattice_canonical_form,
     lattice_membership,
+    minors_vector,
+    primitive_vector,
 )
 
 # A scalar string: "p" or "p/q" of ASCII digits, p optionally signed.  Fraction's
@@ -135,17 +137,30 @@ class HyperplanePermutationReport:
     permutes_positive_support: bool
 
 
+def _minors_relation(w: IntMatrix) -> list[int] | None:
+    """W's `minors_vector` x, checked nonzero with W*x = 0, else ArithmeticError."""
+    x = minors_vector(w.entries, w.cols)
+    if x is not None and (not any(x) or any(w.apply(x))):
+        raise ArithmeticError(f"{x} is not a nonzero kernel vector of {w}")
+    return x
+
+
 def subgroup_from_weights(action: WeightAction) -> DiagonalizableSubgroup:
-    """Closure of the image of the torus in (K*)^m under the diagonal action."""
+    """Closure of the image of the torus in (K*)^m under the diagonal action,
+    cut out by ker W: Z*(x / gcd(x)) if W has rank m - 1, else `kernel_basis`."""
     m = action.weights.cols
-    relations = IntMatrix.from_columns(kernel_basis(action.weights), rows=m)
-    return DiagonalizableSubgroup(m, relations)
+    x = _minors_relation(action.weights)
+    kernel = kernel_basis(action.weights) if x is None else [primitive_vector(x)]
+    return DiagonalizableSubgroup(m, IntMatrix.from_columns(kernel, rows=m))
 
 
 def is_effective(action: WeightAction) -> bool:
     """Whether the weight columns generate the full character lattice of the
-    torus, i.e. the action has trivial kernel."""
-    return cokernel_invariants(action.weights) == (0, ())
+    torus, i.e. the action has trivial kernel.  For W of rank m - 1 with m - 1
+    rows, Z^(m-1) / im W has order gcd(x), the gcd of W's maximal minors."""
+    w = action.weights
+    x = _minors_relation(w) if w.rows == w.cols - 1 else None
+    return gcd(*x) == 1 if x is not None else cokernel_invariants(w) == (0, ())
 
 
 def classify_quotient(group: DiagonalizableSubgroup) -> Vector | None:

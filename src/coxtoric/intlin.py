@@ -18,7 +18,8 @@ Results are certified by explicit checks that raise ArithmeticError:
 (all of U*A*V = D for one column), `kernel_basis` checks A*K = 0 and the
 kernel's rank against an independent Bareiss rank, `saturation_basis` checks
 |det U^-1| = 1 and two Bareiss ranks, `solve_scaled` checks every column of
-its solution by substitution (A*X = I for `invert_unimodular`).  Each check
+its solution by substitution (A*X = I for `invert_unimodular`), and `groups`
+checks x != 0 and A*x = 0 for each `minors_vector` x it reads.  Each check
 runs on every call, whether the elimination was kept or taken anew.
 """
 
@@ -189,17 +190,12 @@ def _bareiss(M: list[list[int]], cols: int) -> tuple[int, int, list[int]]:
     return r, sign * prev, pivots
 
 
-def kernel_generator(rows: Sequence[Sequence[int]], cols: int) -> Vector | None:
-    """Primitive generator of ker(A) in Z^cols when that kernel has rank 1,
-    else None; A is given by its rows.
-
-    For A of shape (cols-1) x cols this is, up to sign, the vector of signed
-    maximal minors of A divided by their gcd.  The free column's entry is
-    set to the last Bareiss pivot, which is +-the minor on the pivot
-    columns; by Cramer's rule the kernel vector with that entry is
-    integral, so back-substitution through the fraction-free echelon rows
-    divides exactly.
-    """
+def minors_vector(rows: Sequence[Sequence[int]], cols: int) -> list[int] | None:
+    """Unreduced x spanning ker(A) over Q when A, given by its rows, has rank
+    cols-1, else None: for A of shape (cols-1) x cols, +-its signed maximal
+    minors, so gcd(x) is the order of Z^(cols-1) / im A (Cohen 1993, 2.4).
+    The free entry is the last Bareiss pivot, +-the minor on the pivot
+    columns, so by Cramer's rule the back-substitution divides exactly."""
     M = [list(row) for row in rows]
     rank, last, pivots = _bareiss(M, cols)
     if rank != cols - 1:
@@ -210,7 +206,14 @@ def kernel_generator(rows: Sequence[Sequence[int]], cols: int) -> Vector | None:
         p = pivots[r]
         row = M[r]
         x[p] = -sum(row[k] * x[k] for k in range(p + 1, cols)) // row[p]
-    return primitive_vector(x)
+    return x
+
+
+def kernel_generator(rows: Sequence[Sequence[int]], cols: int) -> Vector | None:
+    """Primitive generator of ker(A) in Z^cols when that kernel has rank 1,
+    else None: `minors_vector` divided by its gcd."""
+    x = minors_vector(rows, cols)
+    return None if x is None else primitive_vector(x)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ import coxtoric
 from coxtoric.cli import build_parser, main
 from coxtoric.cones import cone_from_rays
 from coxtoric.corpus import affine_space, corpus_fans
-from coxtoric.fans import fan_from_max_cones, fan_to_dict
-from coxtoric.groups import WeightAction
-from coxtoric.intlin import IntMatrix, kernel_basis
+from coxtoric.fans import MAX_RAYLESS_RANK, fan_from_max_cones, fan_to_dict
+from coxtoric.groups import DiagonalizableSubgroup, WeightAction, classify_quotient
+from coxtoric.intlin import IntMatrix, cokernel_invariants, kernel_basis
 from coxtoric.pipeline import theorem_pipeline
 from fangen import random_simplicial_fan
 from oracles import rank_fraction_gauss
@@ -42,6 +42,12 @@ def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
+
+
+def random_weights(m):
+    """The (m-1) x m weights of `random.Random(m)`, entries in [-5, 5]."""
+    rng = random.Random(m)
+    return [[rng.randint(-5, 5) for _ in range(m)] for _ in range(m - 1)]
 
 
 class TestTheoremPipeline:
@@ -306,6 +312,32 @@ class TestCliCommands:
         path = write(tmp_path, "w.json", {"rank": 1, "weights": [[1, 1, 1]]})
         assert main(["diag", path]) == 1
 
+    def test_diag_on_45_coordinates_takes_under_a_second(self, tmp_path, capsys):
+        # the weights of ROADMAP item 3: over 120 s through a Smith form
+        path = write(tmp_path, "w.json", {"rank": 44, "weights": random_weights(45)})
+        start = time.perf_counter()
+        assert main(["diag", path, "--json"]) == 0
+        assert time.perf_counter() - start < 1
+        assert json.loads(capsys.readouterr().out)["subgroup_dimension"] == 44
+
+    @pytest.mark.parametrize("m", [20, 25, 30])
+    def test_diag_equals_the_general_path(self, m, tmp_path, capsys):
+        # relations from a Smith kernel basis, effectivity from the cokernel
+        rows = random_weights(m)
+        path = write(tmp_path, "w.json", {"rank": m - 1, "weights": rows})
+        w = IntMatrix.from_rows(rows)
+        exponents = classify_quotient(
+            DiagonalizableSubgroup(m, IntMatrix.from_columns(kernel_basis(w), rows=m)))
+        expected = {
+            "effective": cokernel_invariants(w) == (0, ()),
+            "subgroup_dimension": m - 1,
+            "quotient": "point" if exponents is None else "monomial",
+            "monomial_exponents": None if exponents is None else list(exponents),
+            "monomial_matrices": [],
+        }
+        assert main(["diag", path, "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
     def test_snf(self, tmp_path, capsys):
         path = write(tmp_path, "m.json", [[2, 0], [0, 3]])
         assert main(["snf", path, "--json"]) == 0
@@ -429,6 +461,22 @@ class TestCliErrors:
     def test_lift_non_injective_exits_1(self, fan_files, tmp_path, capsys):
         iota = write(tmp_path, "iota.json", [[1, 2], [2, 4]])
         assert main(["lift", fan_files["p2"], "--iota", iota]) == 1
+
+    @pytest.mark.parametrize("command", ["validate", "properties", "cox", "classgroup"])
+    @pytest.mark.parametrize("rank", [2 ** 63, 10 ** 20, MAX_RAYLESS_RANK + 1])
+    def test_fan_without_rays_above_the_rank_limit_exits_2(self, command, rank, tmp_path, capsys):
+        path = write(tmp_path, "f.json", {"rank": rank, "rays": [], "max_cones": []})
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: a fan with no rays may have rank at most {MAX_RAYLESS_RANK}\n")
+
+    def test_fan_without_rays_at_the_rank_limit_takes_under_a_second(self, tmp_path, capsys):
+        path = write(tmp_path, "f.json", {"rank": MAX_RAYLESS_RANK, "rays": [], "max_cones": []})
+        # the class group of a degenerate fan is an unmet hypothesis, not malformed input
+        for command, code in [("validate", 0), ("properties", 0), ("cox", 0), ("classgroup", 1)]:
+            start = time.perf_counter()
+            assert main([command, path]) == code
+            assert time.perf_counter() - start < 1, command
 
     def test_lift_iota_with_wrong_row_count_exits_2(self, fan_files, tmp_path, capsys):
         iota = write(tmp_path, "iota.json", [[1], [0], [0]])

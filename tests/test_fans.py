@@ -670,6 +670,14 @@ class TestJsonSchema:
         with pytest.raises(FanValidationError, match="integers"):
             fan_from_dict(data)
 
+    def test_rank_of_a_fan_without_rays_is_bounded(self):
+        # the one size that the file's length does not bound
+        limit = fans.MAX_RAYLESS_RANK
+        assert fan_from_dict({"rank": limit, "rays": [], "max_cones": [[]]}).rank == limit
+        for rank in (limit + 1, 2 ** 63, 10 ** 20):
+            with pytest.raises(FanValidationError, match=f"no rays may have rank at most {limit}$"):
+                fan_from_dict({"rank": rank, "rays": [], "max_cones": []})
+
 
 class TestRandomFans:
     def test_complete_generator_is_complete_and_convex(self, rng):

@@ -6,7 +6,7 @@ from itertools import permutations
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coxtoric import groups, intlin
@@ -111,6 +111,92 @@ class TestEffective:
         assert not is_effective(weight([[2]]))
         assert is_effective(weight([[1, 0, 0], [0, 1, 1]]))
         assert not is_effective(weight([[2, 0], [0, 1]]))
+
+
+def signed_minors(rows, m):
+    """The vector of signed maximal minors of m - 1 rows in Z^m, by cofactors."""
+    return [(-1) ** j * det_cofactor([row[:j] + row[j + 1:] for row in rows]) for j in range(m)]
+
+
+def independent_rows(rows, m):
+    """The first rows, in order, that each raise the rank."""
+    chosen = []
+    for row in rows:
+        if rank_fraction_gauss(chosen + [row], m) > len(chosen):
+            chosen.append(row)
+    return chosen
+
+
+@st.composite
+def weight_matrices(draw):
+    """W with m <= 5 columns: (m-1) x m, rank-deficient (m-1) x m, more than
+    m - 1 rows of rank at most m - 1, or 0 x 1."""
+    shape = draw(st.sampled_from(["corank one", "rank-deficient", "tall", "0x1"]))
+    if shape == "0x1":
+        return IntMatrix.zero(0, 1)
+    m = draw(st.integers(2 if shape == "rank-deficient" else 1, 5))
+    row = st.lists(st.sampled_from(range(-3, 4)), min_size=m, max_size=m)
+    # m - 2 rows and a combination of them has rank below m - 1
+    base = draw(st.lists(row, min_size=m - 1, max_size=m - 1))[:m - 2 if shape == "rank-deficient" else m]
+    if shape == "corank one":
+        assume(rank_fraction_gauss(base, m) == m - 1)
+        return IntMatrix.from_rows(base, cols=m)
+    mix = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    extra = [[sum(c * b[j] for c, b in zip(coefficients, base)) for j in range(m)]
+             for coefficients in draw(st.lists(mix, min_size=1, max_size=1 if shape == "rank-deficient" else 2))]
+    return IntMatrix.from_rows(draw(st.permutations(base + extra)), cols=m)
+
+
+class TestCorankOneWeights:
+    """A weight matrix W of rank m - 1 takes its relation column and its
+    effectivity from its signed maximal minors, with no Smith form."""
+
+    @given(weight_matrices())
+    @example(IntMatrix.zero(0, 1))
+    def test_agrees_with_the_minors_oracle(self, w):
+        rows, m = [list(row) for row in w.entries], w.cols
+        rank = rank_fraction_gauss(rows, m)
+        # Z^rows / im W is trivial iff W has rank rows and unit invariant factors
+        assert is_effective(WeightAction(w.rows, w)) == (
+            rank == w.rows and all(f == 1 for f in invariant_factors_by_minors(rows)))
+        g = subgroup_from_weights(WeightAction(w.rows, w))
+        if rank != m - 1:
+            assert g.dimension == rank
+            assert decompose_subgroup(g) == (rank, ())
+            return
+        x = signed_minors(independent_rows(rows, m), m)
+        x = [a // gcd(*x) for a in x]
+        if next(a for a in x if a) < 0:
+            x = [-a for a in x]
+        assert g.canonical_relations == IntMatrix.from_columns([x], rows=m)
+        assert g.dimension == m - 1
+        torsion = tuple(f for f in invariant_factors_by_minors([[a] for a in x]) if f > 1)
+        assert decompose_subgroup(g) == (m - 1, torsion)
+
+    def test_takes_no_smith_form_at_rank_m_minus_1(self, count_calls):
+        smith = count_calls(intlin, "_smith_elimination")
+        general = count_calls(groups, "kernel_basis", "cokernel_invariants")
+        action = weight([[1, 2, 0], [0, 3, 3]])
+        assert subgroup_from_weights(action).canonical_relations.entries == ((2,), (-1,), (1,))
+        assert not is_effective(action)
+        assert smith == {"_smith_elimination": 0}
+        assert general == {"kernel_basis": 0, "cokernel_invariants": 0}
+
+    def test_rank_deficient_weights_keep_the_general_path(self, count_calls):
+        general = count_calls(groups, "kernel_basis", "cokernel_invariants")
+        action = weight([[1, 2, 3], [2, 4, 6]])
+        assert subgroup_from_weights(action).dimension == 1
+        assert not is_effective(action)
+        assert general == {"kernel_basis": 1, "cokernel_invariants": 1}
+
+    @pytest.mark.parametrize("planted", [[1, 0, 0], [0, 0, 0]])
+    def test_a_vector_that_fails_substitution_raises(self, planted, monkeypatch):
+        monkeypatch.setattr(groups, "minors_vector", lambda rows, cols: list(planted))
+        action = weight([[1, 2, 0], [0, 3, 3]])
+        with pytest.raises(ArithmeticError, match="not a nonzero kernel vector"):
+            subgroup_from_weights(action)
+        with pytest.raises(ArithmeticError, match="not a nonzero kernel vector"):
+            is_effective(action)
 
 
 class TestClassifyQuotient:
