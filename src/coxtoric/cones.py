@@ -197,7 +197,8 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
 
     normals, eqs = dual_constraints(rank, gens)
     constraints = IntMatrix.from_rows(normals + eqs, cols=rank)
-    if constraints.rank() < rank:
+    # the zero cone contains no line: no rank of its rank x rank equations
+    if gens and constraints.rank() < rank:
         lineality = kernel_basis(constraints)
         raise StrongConvexityError(
             f"cone of {list(gens)} contains the line through {lineality[0]}")

@@ -81,7 +81,8 @@ class CoxPresentation:
         """Smith form U * Q^T * V = D, taken once per presentation; U maps
         exponent vectors to coordinates in which the grading group is the
         product of the Z/d_i and Z^free.  Its rank is n iff the fan is nondegenerate.
-        Q^T is H's relation matrix, so H's decomposition reads the same elimination."""
+        Q^T is H's relation matrix; H's decomposition reads only its invariant
+        factors, modulo Q^T's Bareiss pivot minor, with no transform."""
         snf = smith_normal_form(self.kernel_group.relations)
         if snf.rank() != self.delta.rank:
             raise HypothesisError("class group requires a nondegenerate fan")

@@ -28,7 +28,6 @@ from .intlin import (
     kernel_basis,
     lattice_canonical_form,
     lattice_membership,
-    minors_vector,
     primitive_vector,
 )
 
@@ -138,8 +137,9 @@ class HyperplanePermutationReport:
 
 
 def _minors_relation(w: IntMatrix) -> list[int] | None:
-    """W's `minors_vector` x, checked nonzero with W*x = 0, else ArithmeticError."""
-    x = minors_vector(w.entries, w.cols)
+    """W's `minors_vector` x, from the Bareiss record kept on W, checked
+    nonzero with W*x = 0, else ArithmeticError."""
+    x = w.kernel_minors()
     if x is not None and (not any(x) or any(w.apply(x))):
         raise ArithmeticError(f"{x} is not a nonzero kernel vector of {w}")
     return x

@@ -6,28 +6,35 @@ cokernel invariant factors, lattice membership, and integer linear
 system solving.  No floats anywhere; rationals appear only as inputs
 to membership-style predicates elsewhere.
 
-One Smith elimination, one column Hermite elimination and one Bareiss rank
-per `IntMatrix` instance serve every caller: each is taken on first request
+One Smith elimination, one column Hermite elimination and one Bareiss per
+`IntMatrix` instance serve every caller: each is taken on first request
 and kept on the instance, frozen into tuples; two equal matrices built
-separately eliminate separately.  An elimination logs its operations; a
-transform is the log replayed onto just what the caller reads.  Membership,
-divisibility index, integer solving and inversion are one back-substitution
-per right-hand side against one column Hermite form.
+separately eliminate separately.  The Bareiss record (rank, signed last
+pivot, pivot columns, rows) gives the rank, `kernel_minors` and the modulus
+of `cokernel_invariants`, whose Smith elimination modulo that pivot minor
+is taken on every call and builds no transform.  An elimination logs its
+operations; a transform is the log replayed onto just what the caller
+reads.  Membership, divisibility index, integer solving and inversion are
+one back-substitution per right-hand side against one column Hermite form.
 Results are certified by explicit checks that raise ArithmeticError:
 `smith_normal_form` checks U*A*V = D, `gcd_transform` U*v = (gcd(v), 0, ..., 0)
-(all of U*A*V = D for one column), `kernel_basis` checks A*K = 0 and the
-kernel's rank against an independent Bareiss rank, `saturation_basis` checks
-|det U^-1| = 1 and two Bareiss ranks, `solve_scaled` checks every column of
-its solution by substitution (A*X = I for `invert_unimodular`), and `groups`
-checks x != 0 and A*x = 0 for each `minors_vector` x it reads.  Each check
-runs on every call, whether the elimination was kept or taken anew.
+(all of U*A*V = D for one column), `cokernel_invariants` replays its log onto
+A mod D and compares the result with the diagonal, and checks that each 2x2
+step is unimodular, that there are as many factors as the Bareiss rank, that
+they form a divisibility chain and that their product divides D,
+`kernel_basis` checks A*K = 0 and the kernel's rank against the Bareiss rank,
+`saturation_basis` checks |det U^-1| = 1 and two Bareiss ranks, `solve_scaled`
+checks every column of its solution by substitution (A*X = I for
+`invert_unimodular`), and `groups` checks x != 0 and A*x = 0 for each
+`kernel_minors` x it reads.  Each check runs on every call, whether the
+elimination was kept or taken anew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import index, mul
 from typing import Iterable, Sequence
 
@@ -133,8 +140,11 @@ class IntMatrix:
     # Each elimination is taken once per instance, on first request, and
     # kept frozen into tuples so that no caller can change another's.
     @cached_property
-    def _rank(self) -> int:
-        return _bareiss([list(row) for row in self.entries], self.cols)[0]
+    def _echelon(self) -> tuple[int, int, tuple[int, ...], tuple[Vector, ...]]:
+        """The Bareiss record: (rank, signed last pivot, pivot columns, rows)."""
+        M = [list(row) for row in self.entries]
+        rank, last, pivots = _bareiss(M, self.cols)
+        return rank, last, tuple(pivots), tuple(map(tuple, M))
 
     @cached_property
     def _smith(self) -> tuple[tuple[Vector, ...], tuple, tuple]:
@@ -148,7 +158,12 @@ class IntMatrix:
 
     def rank(self) -> int:
         """Rank by fraction-free (Bareiss) elimination, independent of SNF."""
-        return self._rank
+        return self._echelon[0]
+
+    def kernel_minors(self) -> list[int] | None:
+        """`minors_vector` of the rows, back-substituted from the Bareiss
+        record kept on the instance."""
+        return _minors(*self._echelon, self.cols)
 
 
 def _built(rows: Iterable[Iterable[int]], cols: int) -> IntMatrix:
@@ -197,7 +212,12 @@ def minors_vector(rows: Sequence[Sequence[int]], cols: int) -> list[int] | None:
     The free entry is the last Bareiss pivot, +-the minor on the pivot
     columns, so by Cramer's rule the back-substitution divides exactly."""
     M = [list(row) for row in rows]
-    rank, last, pivots = _bareiss(M, cols)
+    return _minors(*_bareiss(M, cols), M, cols)
+
+
+def _minors(rank: int, last: int, pivots: Sequence[int], M: Sequence[Sequence[int]],
+            cols: int) -> list[int] | None:
+    """`minors_vector`'s back-substitution from a Bareiss record of A."""
     if rank != cols - 1:
         return None
     x = [0] * cols
@@ -309,7 +329,7 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-def _smith_elimination(a: IntMatrix):
+def _smith_elimination(a: IntMatrix, modulus: int = 0):
     """The gcd-driven diagonalization behind every Smith form, on row lists:
     (D, rows, cols), D = U*A*V and the row and column logs of U and V; run
     once per instance, through `IntMatrix._smith`.
@@ -317,9 +337,12 @@ def _smith_elimination(a: IntMatrix):
     fails to divide an entry of the remaining block, that entry's row is
     folded into the pivot row, which makes the resulting diagonal satisfy
     the divisibility chain without a separate fix-up pass.
+    With a modulus, for `cokernel_invariants`, every entry is reduced into
+    [0, modulus) at the start and after each operation, so D = U*A*V holds
+    modulo it and no entry outgrows it; a pivot then stays in (0, modulus).
     """
     m, n = a.rows, a.cols
-    M = [list(row) for row in a.entries]
+    M = [[x % modulus for x in row] if modulus else list(row) for row in a.entries]
     rows: list[tuple[int, ...]] = []
     cols: list[tuple[int, ...]] = []
     for t in range(min(m, n)):
@@ -340,9 +363,13 @@ def _smith_elimination(a: IntMatrix):
             for i in range(t + 1, m):
                 if M[i][t]:
                     rows.append(_row_op(M, _clearing_op(M[t][t], M[i][t], t, i)))
+                    if modulus:
+                        _reduce_lines(M, rows[-1], modulus)
             for j in range(t + 1, n):
                 if M[t][j]:
                     cols.append(_col_op(M, _clearing_op(M[t][t], M[t][j], t, j)))
+                    if modulus:
+                        _reduce_lines(M, cols[-1], modulus, by_columns=True)
             if any(M[i][t] for i in range(t + 1, m)):
                 continue
             piv = M[t][t]
@@ -351,9 +378,24 @@ def _smith_elimination(a: IntMatrix):
             if bad is None:
                 break
             rows.append(_row_op(M, (bad, t, -1)))
+            if modulus:
+                _reduce_lines(M, rows[-1], modulus)
         if M[t][t] < 0:
             rows.append(_row_op(M, (t,)))
     return M, rows, cols
+
+
+def _reduce_lines(M, op, modulus: int, by_columns: bool = False) -> None:
+    """Reduce into [0, modulus) the rows, or columns, of the row lists M that
+    the subtraction or 2x2 step op changed: line j, or lines t and j."""
+    changed = op[1:2] if len(op) == 3 else op[:2]
+    if by_columns:
+        for row in M:
+            for j in changed:
+                row[j] %= modulus
+    else:
+        for i in changed:
+            M[i] = [x % modulus for x in M[i]]
 
 
 def _row_transform(rows, m: int) -> IntMatrix:
@@ -517,7 +559,7 @@ def kernel_basis(a: IntMatrix) -> list[Vector]:
     len(K) = cols - that rank; ArithmeticError if either fails.
     """
     n = a.cols
-    rank = a._rank
+    rank = a._echelon[0]
     if rank == n:
         return []
     D, _, cols = a._smith
@@ -533,10 +575,74 @@ def kernel_basis(a: IntMatrix) -> list[Vector]:
 
 
 def cokernel_invariants(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
-    """(free rank, torsion invariant factors > 1) of Z^rows / im(A)."""
-    snf = smith_normal_form(a)
-    torsion = tuple(d for d in snf.invariant_factors() if d > 1)
-    return a.rows - snf.rank(), torsion
+    """(free rank, torsion invariant factors > 1) of Z^rows / im(A).
+
+    B is A, or A^T, whichever has full row rank r, by A's Bareiss record; a
+    transpose keeps the nonzero invariant factors.  D = |signed last pivot|
+    is the r x r minor of B on the pivot lines, so D*Z^r lies in the column
+    lattice L(B) by Cramer's rule and L(B) = L(B) + D*Z^r: B's Smith
+    elimination runs modulo D, with no transform, and its factors are
+    gcd(d_i, D) (Hafner & McCurley 1991; Cohen 1993, 2.4), each certified by
+    `_modular_factors`.  A matrix that is rank-deficient both ways takes
+    `smith_normal_form`, with its U*A*V = D check.
+    """
+    rank, last, _, _ = a._echelon
+    if rank != a.rows and rank != a.cols:
+        snf = smith_normal_form(a)
+        return a.rows - snf.rank(), tuple(d for d in snf.invariant_factors() if d > 1)
+    b = a if rank == a.rows else a.transpose()
+    factors = _modular_factors(b, rank, abs(last), _smith_elimination(b, abs(last)))
+    return a.rows - rank, tuple(f for f in factors if f > 1)
+
+
+def _replay_modulo(lines: list[list[int]], log, modulus: int) -> None:
+    """Apply a logged row log to the rows `lines` modulo `modulus`, in place,
+    by its own arithmetic (a column log applies to the columns of a matrix
+    as lines); ArithmeticError if a 2x2 step (t, j, x, y, p, q) has
+    x*p + y*q != 1, so that it is not unimodular."""
+    for op in log:
+        if len(op) == 3:
+            t, j, q = op
+            lines[j] = [(u - q * v) % modulus for u, v in zip(lines[j], lines[t])]
+        elif len(op) == 6:
+            t, j, x, y, p, q = op
+            if x * p + y * q != 1:
+                raise ArithmeticError(f"step {op} of a Smith elimination is not unimodular")
+            lines[t], lines[j] = ([(x * u + y * v) % modulus for u, v in zip(lines[t], lines[j])],
+                                  [(p * v - q * u) % modulus for u, v in zip(lines[t], lines[j])])
+        elif len(op) == 2:
+            i, j = op
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            (i,) = op
+            lines[i] = [-u % modulus for u in lines[i]]
+
+
+def _modular_factors(b: IntMatrix, rank: int, modulus: int, elimination) -> tuple[int, ...]:
+    """The invariant factors gcd(d_i, modulus) of B, of full row rank, from
+    its Smith elimination (D, rows, cols) modulo an r x r minor `modulus`,
+    certified with no call to `_row_op` or `_col_op`: the row log, then the
+    column log, replayed onto B mod `modulus` give diag(d_1, ..., d_r), each
+    2x2 step unimodular; there are as many factors as the Bareiss rank; they
+    form a divisibility chain; and their product divides `modulus`.
+    ArithmeticError if any check fails."""
+    D, rows, cols = elimination
+    d = [D[i][i] for i in range(min(b.rows, b.cols))]
+    lines = [[x % modulus for x in row] for row in b.entries]
+    _replay_modulo(lines, rows, modulus)
+    lines = [list(column) for column in zip(*lines)] if b.rows else [[] for _ in range(b.cols)]
+    _replay_modulo(lines, cols, modulus)
+    if lines != [[d[i] if i == j else 0 for i in range(b.rows)] for j in range(b.cols)]:
+        raise ArithmeticError(f"the log of {b}'s Smith elimination modulo {modulus} "
+                              f"does not give the diagonal {d}")
+    factors = tuple(gcd(x, modulus) for x in d)
+    if len(factors) != rank:
+        raise ArithmeticError(f"{len(factors)} invariant factors for Bareiss rank {rank}")
+    if any(g % f for f, g in zip(factors, factors[1:])):
+        raise ArithmeticError(f"invariant factors {factors} fail the divisibility chain")
+    if modulus % prod(factors):
+        raise ArithmeticError(f"invariant factors {factors} do not divide the minor {modulus}")
+    return factors
 
 
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
@@ -569,7 +675,7 @@ def saturation_basis(a: IntMatrix) -> IntMatrix:
     rank, det, _ = _bareiss(Wt, m)
     if rank != m or abs(det) != 1:
         raise ArithmeticError(f"U^-1 of the Smith form of {a} is not unimodular")
-    if a._rank != rho:
+    if a._echelon[0] != rho:
         raise ArithmeticError(f"Smith form of {a} has rank {rho}, not its Bareiss rank")
     if rho < m and _bareiss([b + list(r) for b, r in zip(basis, a.entries)], rho + n)[0] != rho:
         raise ArithmeticError(f"the first {rho} columns of U^-1 miss the span of {a}")

@@ -27,6 +27,26 @@ def det_cofactor(rows):
     return total
 
 
+def det_fraction_gauss(rows):
+    """Determinant of a square matrix by Gaussian elimination over Fractions,
+    for sizes past the reach of cofactor expansion."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    n = len(M)
+    det = Fraction(1)
+    for j in range(n):
+        piv = next((i for i in range(j, n) if M[i][j]), None)
+        if piv is None:
+            return 0
+        if piv != j:
+            M[j], M[piv] = M[piv], M[j]
+            det = -det
+        det *= M[j][j]
+        for i in range(j + 1, n):
+            f = M[i][j] / M[j][j]
+            M[i] = [u - f * v for u, v in zip(M[i], M[j])]
+    return int(det)
+
+
 def rank_fraction_gauss(rows, cols):
     """Rank by straightforward Gaussian elimination over Fractions."""
     M = [[Fraction(x) for x in row] for row in rows]

@@ -4,6 +4,7 @@ import copy
 import importlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -24,7 +25,7 @@ from coxtoric.groups import DiagonalizableSubgroup, WeightAction, classify_quoti
 from coxtoric.intlin import IntMatrix, cokernel_invariants, kernel_basis
 from coxtoric.pipeline import theorem_pipeline
 from fangen import random_simplicial_fan
-from oracles import rank_fraction_gauss
+from oracles import det_fraction_gauss, rank_fraction_gauss
 
 
 @pytest.fixture(scope="module")
@@ -212,17 +213,26 @@ class TestCliCommands:
     @pytest.mark.parametrize("command", ["cox", "pipeline"])
     def test_request_puts_q_transpose_in_smith_form_once(
             self, command, fan_files, tmp_path, corpus, monkeypatch, capsys):
-        seen = []
-        real = sys.modules["coxtoric.intlin"].smith_normal_form
+        # Q^T has full column rank, so its invariant factors come from one
+        # Smith elimination of its transpose Q modulo Q^T's Bareiss pivot
+        # minor, here 1, and no request takes a Smith form with transforms
+        intlin = sys.modules["coxtoric.intlin"]
+        seen, smith = [], []
+        real, real_snf = intlin._smith_elimination, intlin.smith_normal_form
+        monkeypatch.setattr(intlin, "_smith_elimination",
+                            lambda a, modulus=0: seen.append((a, modulus)) or real(a, modulus))
         for name, mod in list(sys.modules.items()):
-            if name.startswith("coxtoric") and getattr(mod, "smith_normal_form", None) is real:
+            if name.startswith("coxtoric") and getattr(mod, "smith_normal_form", None) is real_snf:
                 monkeypatch.setattr(mod, "smith_normal_form",
-                                    lambda a: seen.append(a) or real(a))
+                                    lambda a: smith.append(a) or real_snf(a))
         args = [command, fan_files["p112"], "--json"]
         if command == "pipeline":
             args += ["--weights", write(tmp_path, "w.json", {"rank": 1, "weights": [[1, 0, 0]]})]
         main(args)
-        assert seen.count(IntMatrix.from_rows(corpus["p112"].rays)) == 1
+        q = IntMatrix.from_columns(corpus["p112"].rays)
+        assert [modulus for a, modulus in seen if a == q] == [1]
+        assert not any(a == q.transpose() for a, _ in seen)
+        assert smith == []
         data = json.loads(capsys.readouterr().out)
         summary = data["cox"] if command == "pipeline" else data
         assert summary["class_group"] == {"free": 1, "torsion": []}
@@ -311,6 +321,27 @@ class TestCliCommands:
         # image closure has dimension 1 in (K*)^3, not the required 2
         path = write(tmp_path, "w.json", {"rank": 1, "weights": [[1, 1, 1]]})
         assert main(["diag", path]) == 1
+
+    @pytest.mark.parametrize("command", ["properties", "cox"])
+    def test_one_cone_rank_35_fan_takes_under_two_seconds(self, command, tmp_path, capsys):
+        # smoothness and the class group are cokernel invariants of the 35
+        # rays, read modulo their determinant: no Smith transform is built
+        rng = random.Random(35)
+        rays = []
+        for _ in range(35):
+            ray = [rng.randint(-5, 5) for _ in range(35)]
+            rays.append([x // math.gcd(*ray) for x in ray])
+        det = abs(det_fraction_gauss(rays))
+        path = write(tmp_path, "fan.json", {"rank": 35, "rays": rays, "max_cones": [list(range(35))]})
+        start = time.perf_counter()
+        assert main([command, path, "--json"]) == 0
+        assert time.perf_counter() - start < 2
+        data = json.loads(capsys.readouterr().out)
+        if command == "properties":
+            assert data["smooth"] == (det == 1)
+        else:
+            assert data["class_group"]["free"] == 0
+            assert math.prod(data["class_group"]["torsion"]) == det
 
     def test_diag_on_45_coordinates_takes_under_a_second(self, tmp_path, capsys):
         # the weights of ROADMAP item 3: over 120 s through a Smith form
@@ -477,6 +508,15 @@ class TestCliErrors:
             start = time.perf_counter()
             assert main([command, path]) == code
             assert time.perf_counter() - start < 1, command
+
+    def test_validate_of_a_fan_without_rays_takes_no_rank_of_the_zero_cone(self, tmp_path, capsys):
+        # the zero cone contains no line, so it takes no rank x rank Bareiss:
+        # 0.41 s at rank 200 with one
+        path = write(tmp_path, "f.json", {"rank": MAX_RAYLESS_RANK, "rays": [], "max_cones": []})
+        start = time.perf_counter()
+        assert main(["validate", path, "--json"]) == 0
+        assert time.perf_counter() - start < 0.1
+        assert json.loads(capsys.readouterr().out)["cones"] == 1
 
     def test_lift_iota_with_wrong_row_count_exits_2(self, fan_files, tmp_path, capsys):
         iota = write(tmp_path, "iota.json", [[1], [0], [0]])

@@ -274,15 +274,24 @@ class TestClassGroup:
         assert calls.count(qt) == 1
 
     def test_class_group_and_subgroup_decomposition_take_one_elimination(
-            self, corpus, count_calls):
-        # the grading Smith form is taken of H's relation matrix, the one Q^T
-        # instance of the presentation, so H's decomposition reads it too
+            self, corpus, count_calls, monkeypatch):
+        # one each: the grading Smith form is taken of H's relation matrix,
+        # the one Q^T instance of the presentation, and class group and ray
+        # degrees read it; H's decomposition reads Q^T's invariant factors off
+        # one transform-free elimination of Q modulo Q^T's Bareiss pivot minor
         p = cox_presentation(corpus["p112"])
-        calls = count_calls(intlin, "_smith_elimination")
+        qt = p.kernel_group.relations
+        seen = []
+        real = intlin._smith_elimination
+        monkeypatch.setattr(intlin, "_smith_elimination",
+                            lambda a, modulus=0: seen.append((a, modulus)) or real(a, modulus))
+        ranks = count_calls(intlin, "_bareiss")
         assert class_group(p) == (1, ())
         assert len(ray_degrees(p)) == 3
         assert presentation_summary(p)[2] == {"free": 1, "torsion": []}
-        assert calls == {"_smith_elimination": 1}
+        assert [(a is qt, a == qt.transpose(), modulus) for a, modulus in seen] == [
+            (True, False, 0), (False, True, 1)]
+        assert ranks == {"_bareiss": 1}
 
     def test_bad_element_arguments_raise_shape_error(self):
         with pytest.raises(ShapeError, match="2 torsion residues for 1 moduli"):

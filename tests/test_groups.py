@@ -189,9 +189,17 @@ class TestCorankOneWeights:
         assert not is_effective(action)
         assert general == {"kernel_basis": 1, "cokernel_invariants": 1}
 
+    def test_subgroup_and_effectivity_eliminate_w_once(self, count_calls):
+        # both read x off the one Bareiss record kept on the W instance
+        calls = count_calls(intlin, "_bareiss")
+        action = weight([[1, 2, 0], [0, 3, 3]])
+        assert subgroup_from_weights(action).dimension == 2
+        assert not is_effective(action)
+        assert calls == {"_bareiss": 1}
+
     @pytest.mark.parametrize("planted", [[1, 0, 0], [0, 0, 0]])
     def test_a_vector_that_fails_substitution_raises(self, planted, monkeypatch):
-        monkeypatch.setattr(groups, "minors_vector", lambda rows, cols: list(planted))
+        monkeypatch.setattr(IntMatrix, "kernel_minors", lambda w: list(planted))
         action = weight([[1, 2, 0], [0, 3, 3]])
         with pytest.raises(ArithmeticError, match="not a nonzero kernel vector"):
             subgroup_from_weights(action)

@@ -1,8 +1,10 @@
+import random
+import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coxtoric import intlin
@@ -19,6 +21,7 @@ from coxtoric.intlin import (
     kernel_generator,
     lattice_canonical_form,
     lattice_membership,
+    minors_vector,
     primitive_vector,
     saturation_basis,
     smith_normal_form,
@@ -231,6 +234,81 @@ class TestCokernel:
         a = M([[1, 0], [0, 1], [-1, -1]])
         assert rank_fraction_gauss([[1, 0], [0, 1], [-1, -1]], 2) == 2
         assert cokernel_invariants(a) == (1, ())
+
+    @given(degenerate_matrices())
+    @settings(max_examples=300)
+    @example(IntMatrix.zero(0, 3))
+    @example(IntMatrix.zero(3, 0))
+    @example(M([[2, 1], [0, 3], [4, 5], [6, 0]]))
+    @example(M([[2, 4, 4, 1], [-6, 6, 12, 3]]))
+    @example(M([[1, 2, 3], [2, 4, 6], [1, 0, 1]]))
+    @example(IntMatrix.zero(2, 3))
+    def test_agrees_with_the_minors_oracle_on_every_shape(self, a):
+        # no rows or columns, tall, wide, rank-deficient both ways, zero
+        factors = invariant_factors_by_minors([list(row) for row in a.entries])
+        assert cokernel_invariants(a) == (a.rows - len(factors), tuple(f for f in factors if f > 1))
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], (0, (2, 6, 12))),
+        ([[2, 4, 4], [-6, 6, 12]], (0, (2, 6))),
+        ([[2, -6], [4, 6], [4, 12]], (1, (2, 6))),
+    ])
+    def test_full_rank_takes_no_smith_form_and_no_replay(self, rows, expected, count_calls):
+        # square, wide and tall: one elimination modulo the pivot minor
+        calls = count_calls(intlin, "smith_normal_form", "_replay", "_smith_elimination")
+        assert cokernel_invariants(M(rows)) == expected
+        assert calls == {"smith_normal_form": 0, "_replay": 0, "_smith_elimination": 1}
+
+    @staticmethod
+    def _planted(monkeypatch, fault):
+        # a fault planted into what the elimination modulo D returns
+        real = intlin._smith_elimination
+
+        def eliminate(a, modulus=0):
+            return fault(*real(a, modulus), modulus)
+
+        monkeypatch.setattr(intlin, "_smith_elimination", eliminate)
+
+    @pytest.mark.parametrize("fault, message", [
+        # a wrong logged operation: one extra row subtraction
+        (lambda D, rows, cols, d: (D, rows + [(0, 1, 1)], cols), "does not give the diagonal"),
+        # a non-unimodular 2x2 step, x*p + y*q = 2, which the replay meets first
+        (lambda D, rows, cols, d: (D, [(0, 1, 1, 1, 1, 1)] + rows, cols), "not unimodular"),
+        # a wrong d_1
+        (lambda D, rows, cols, d: ([[(D[0][0] + 1) % d] + D[0][1:]] + D[1:], rows, cols),
+         "does not give the diagonal"),
+    ])
+    def test_planted_fault_raises_arithmetic_error(self, fault, message, monkeypatch):
+        self._planted(monkeypatch, fault)
+        with pytest.raises(ArithmeticError, match=message):
+            cokernel_invariants(M([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
+
+    def test_diagonal_outside_the_divisibility_chain_raises(self, monkeypatch):
+        # the empty logs replay diag(2, 3) onto itself, but 2 does not divide 3
+        self._planted(monkeypatch, lambda D, rows, cols, d: ([[2, 0], [0, 3]], [], []))
+        with pytest.raises(ArithmeticError, match="divisibility chain"):
+            cokernel_invariants(M([[2, 0], [0, 3]]))
+
+    def test_modulus_that_is_not_a_minor_raises(self):
+        # a planted last pivot 2 in place of det = 4: mod 2, diag(2, 2) reads
+        # factors (2, 2), whose product does not divide 2
+        a = M([[2, 0], [0, 2]])
+        a.__dict__["_echelon"] = a._echelon[:1] + (2,) + a._echelon[2:]
+        with pytest.raises(ArithmeticError, match="do not divide the minor 2"):
+            cokernel_invariants(a)
+
+    @pytest.mark.parametrize("n", [35, 40, 45])
+    def test_corank_one_matrices_take_under_a_second(self, n):
+        # ROADMAP item 3's 18 seeded (n-1) x n matrices; through the Smith form
+        # with transforms, 14 s at n = 35 and over 25 s at n = 40
+        for s in range(6):
+            rng = random.Random(1000 * n + s)
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n - 1)]
+            start = time.perf_counter()
+            free, torsion = cokernel_invariants(M(rows))
+            assert time.perf_counter() - start < 1, s
+            # the order of the torsion is the gcd of the maximal minors
+            assert (free, prod(torsion)) == (0, gcd(*minors_vector(rows, n))), s
 
 
 @st.composite
@@ -704,17 +782,28 @@ class TestEliminationMemo:
         monkeypatch.setattr(intlin, "_bareiss", counting)
         return ranks
 
-    def test_smith_questions_take_one_elimination(self, count_calls, monkeypatch):
+    def test_smith_questions_take_one_elimination(self, monkeypatch):
+        # a, rank-deficient both ways, answers every Smith question from one
+        # integer elimination; b, of full rank, answers the same questions
+        # from one integer elimination and its cokernel from one more, modulo
+        # |det b| = 144; one Bareiss per instance serves rank, kernel,
+        # saturation and modulus
         a = M([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-        calls = count_calls(intlin, "_smith_elimination")
-        ranks = self._count_ranks(monkeypatch, a)
-        s = smith_normal_form(a)
-        assert len(kernel_basis(a)) == 1
-        assert saturation_basis(a).cols == 2
-        assert cokernel_invariants(a) == (1, (2,))
-        assert a.rank() == s.rank() == 2
-        assert calls == {"_smith_elimination": 1}
-        assert len(ranks) == 1
+        b = M([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        seen = []
+        real = intlin._smith_elimination
+        monkeypatch.setattr(intlin, "_smith_elimination",
+                            lambda x, modulus=0: seen.append((x, modulus)) or real(x, modulus))
+        ranks = self._count_ranks(monkeypatch, a), self._count_ranks(monkeypatch, b)
+        for x, expected in ((a, (1, (2,))), (b, (0, (2, 6, 12)))):
+            s = smith_normal_form(x)
+            assert len(kernel_basis(x)) == 3 - s.rank()
+            assert saturation_basis(x).cols == s.rank()
+            assert cokernel_invariants(x) == expected
+            assert x.rank() == s.rank()
+        assert [(x is a, x is b, modulus) for x, modulus in seen] == [
+            (True, False, 0), (False, True, 0), (False, True, 144)]
+        assert [len(r) for r in ranks] == [1, 1]
 
     def test_hermite_questions_take_one_elimination(self, count_calls):
         a = M([[2, 4, 0], [0, 6, 3]])
@@ -764,6 +853,7 @@ class TestEliminationMemo:
         "scaled": lambda a, b: solve_scaled(a, [b]),
         "index": lambda a, b: divisibility_index(a, b),
         "inverse": lambda a, b: invert_unimodular(a),
+        "minors": lambda a, b: a.kernel_minors(),
     }
 
     @staticmethod
@@ -795,7 +885,7 @@ class TestEliminationMemo:
 
     def test_planted_bad_rank_is_caught(self):
         a = M([[1, 2, 3], [2, 4, 6]])
-        a.__dict__["_rank"] = 2
+        a.__dict__["_echelon"] = (2,) + a._echelon[1:]
         with pytest.raises(ArithmeticError, match="generators"):
             kernel_basis(a)
         with pytest.raises(ArithmeticError, match="Bareiss rank"):
@@ -822,6 +912,8 @@ class TestEliminationMemo:
         for D, first, second in (a._smith, a._hermite):
             assert type(D) is tuple and all(type(row) is tuple for row in D)
             assert type(first) is tuple and type(second) is tuple
+        _, _, pivots, rows = a._echelon
+        assert type(pivots) is tuple and all(type(row) is tuple for row in rows)
 
 
 class TestGcdTransform:
