@@ -583,15 +583,19 @@ def cokernel_invariants(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
     lattice L(B) by Cramer's rule and L(B) = L(B) + D*Z^r: B's Smith
     elimination runs modulo D, with no transform, and its factors are
     gcd(d_i, D) (Hafner & McCurley 1991; Cohen 1993, 2.4), each certified by
-    `_modular_factors`.  A matrix that is rank-deficient both ways takes
+    `_modular_factors`.  At D = 1, L(B) = Z^r and every factor is 1, so there
+    is nothing to eliminate.  A matrix that is rank-deficient both ways takes
     `smith_normal_form`, with its U*A*V = D check.
     """
     rank, last, _, _ = a._echelon
     if rank != a.rows and rank != a.cols:
         snf = smith_normal_form(a)
         return a.rows - snf.rank(), tuple(d for d in snf.invariant_factors() if d > 1)
+    modulus = abs(last)
+    if modulus == 1:
+        return a.rows - rank, ()
     b = a if rank == a.rows else a.transpose()
-    factors = _modular_factors(b, rank, abs(last), _smith_elimination(b, abs(last)))
+    factors = _modular_factors(b, rank, modulus, _smith_elimination(b, modulus))
     return a.rows - rank, tuple(f for f in factors if f > 1)
 
 
@@ -619,18 +623,18 @@ def _replay_modulo(lines: list[list[int]], log, modulus: int) -> None:
 
 
 def _modular_factors(b: IntMatrix, rank: int, modulus: int, elimination) -> tuple[int, ...]:
-    """The invariant factors gcd(d_i, modulus) of B, of full row rank, from
-    its Smith elimination (D, rows, cols) modulo an r x r minor `modulus`,
+    """The invariant factors gcd(d_i, modulus) of B, of full row rank r >= 1,
+    from its Smith elimination (D, rows, cols) modulo an r x r minor `modulus`,
     certified with no call to `_row_op` or `_col_op`: the row log, then the
     column log, replayed onto B mod `modulus` give diag(d_1, ..., d_r), each
     2x2 step unimodular; there are as many factors as the Bareiss rank; they
     form a divisibility chain; and their product divides `modulus`.
     ArithmeticError if any check fails."""
     D, rows, cols = elimination
-    d = [D[i][i] for i in range(min(b.rows, b.cols))]
+    d = [D[i][i] for i in range(b.rows)]
     lines = [[x % modulus for x in row] for row in b.entries]
     _replay_modulo(lines, rows, modulus)
-    lines = [list(column) for column in zip(*lines)] if b.rows else [[] for _ in range(b.cols)]
+    lines = [list(column) for column in zip(*lines)]
     _replay_modulo(lines, cols, modulus)
     if lines != [[d[i] if i == j else 0 for i in range(b.rows)] for j in range(b.cols)]:
         raise ArithmeticError(f"the log of {b}'s Smith elimination modulo {modulus} "

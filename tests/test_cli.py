@@ -213,9 +213,11 @@ class TestCliCommands:
     @pytest.mark.parametrize("command", ["cox", "pipeline"])
     def test_request_puts_q_transpose_in_smith_form_once(
             self, command, fan_files, tmp_path, corpus, monkeypatch, capsys):
-        # Q^T has full column rank, so its invariant factors come from one
-        # Smith elimination of its transpose Q modulo Q^T's Bareiss pivot
-        # minor, here 1, and no request takes a Smith form with transforms
+        # Q^T has full column rank, so its invariant factors come from Q^T, or
+        # from Q when Q^T is not square, modulo Q^T's Bareiss pivot minor D:
+        # with no elimination at D = 1 (P(1,1,2), 3 rays), with one Smith
+        # elimination of the square Q^T at D = 2 (the quadric cone); no request
+        # takes a Smith form with transforms
         intlin = sys.modules["coxtoric.intlin"]
         seen, smith = [], []
         real, real_snf = intlin._smith_elimination, intlin.smith_normal_form
@@ -225,17 +227,23 @@ class TestCliCommands:
             if name.startswith("coxtoric") and getattr(mod, "smith_normal_form", None) is real_snf:
                 monkeypatch.setattr(mod, "smith_normal_form",
                                     lambda a: smith.append(a) or real_snf(a))
-        args = [command, fan_files["p112"], "--json"]
-        if command == "pipeline":
-            args += ["--weights", write(tmp_path, "w.json", {"rank": 1, "weights": [[1, 0, 0]]})]
-        main(args)
-        q = IntMatrix.from_columns(corpus["p112"].rays)
-        assert [modulus for a, modulus in seen if a == q] == [1]
-        assert not any(a == q.transpose() for a, _ in seen)
-        assert smith == []
-        data = json.loads(capsys.readouterr().out)
-        summary = data["cox"] if command == "pipeline" else data
-        assert summary["class_group"] == {"free": 1, "torsion": []}
+        for fan, eliminations, class_group in [
+                ("p112", [], {"free": 1, "torsion": []}),
+                ("quadric_cone", [(False, 2)], {"free": 0, "torsion": [2]})]:
+            seen.clear()
+            m = len(corpus[fan].rays)
+            args = [command, fan_files[fan], "--json"]
+            if command == "pipeline":
+                weights = {"rank": 1, "weights": [[1] + [0] * (m - 1)]}
+                args += ["--weights", write(tmp_path, "w.json", weights)]
+            main(args)
+            q = IntMatrix.from_columns(corpus[fan].rays)
+            assert [(a == q, modulus) for a, modulus in seen
+                    if a in (q, q.transpose())] == eliminations, fan
+            assert smith == [], fan
+            data = json.loads(capsys.readouterr().out)
+            summary = data["cox"] if command == "pipeline" else data
+            assert summary["class_group"] == class_group, fan
 
     def test_cox_keeps_the_files_ray_order(self, tmp_path, capsys):
         path = write(tmp_path, "swapped.json",

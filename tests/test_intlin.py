@@ -252,12 +252,21 @@ class TestCokernel:
         ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], (0, (2, 6, 12))),
         ([[2, 4, 4], [-6, 6, 12]], (0, (2, 6))),
         ([[2, -6], [4, 6], [4, 12]], (1, (2, 6))),
-    ])
+    ], ids=["square", "wide", "tall"])
     def test_full_rank_takes_no_smith_form_and_no_replay(self, rows, expected, count_calls):
         # square, wide and tall: one elimination modulo the pivot minor
         calls = count_calls(intlin, "smith_normal_form", "_replay", "_smith_elimination")
         assert cokernel_invariants(M(rows)) == expected
         assert calls == {"smith_normal_form": 0, "_replay": 0, "_smith_elimination": 1}
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[1, 2, 3], [0, 1, 4]], (0, ())), ([[3, 1], [5, 2], [7, 7]], (1, ())),
+        ([], (0, ())), ([[], []], (2, ()))])
+    def test_unit_pivot_minor_takes_no_elimination(self, rows, expected, count_calls):
+        # at D = 1 the column lattice of B is all of Z^r
+        calls = count_calls(intlin, "smith_normal_form", "_smith_elimination")
+        assert cokernel_invariants(IntMatrix.from_rows(rows, cols=3 if rows == [] else None)) == expected
+        assert calls == {"smith_normal_form": 0, "_smith_elimination": 0}
 
     @staticmethod
     def _planted(monkeypatch, fault):
@@ -277,7 +286,7 @@ class TestCokernel:
         # a wrong d_1
         (lambda D, rows, cols, d: ([[(D[0][0] + 1) % d] + D[0][1:]] + D[1:], rows, cols),
          "does not give the diagonal"),
-    ])
+    ], ids=["wrong-operation", "non-unimodular-step", "wrong-d1"])
     def test_planted_fault_raises_arithmetic_error(self, fault, message, monkeypatch):
         self._planted(monkeypatch, fault)
         with pytest.raises(ArithmeticError, match=message):
