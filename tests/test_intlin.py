@@ -261,12 +261,33 @@ class TestCokernel:
 
     @pytest.mark.parametrize("rows, expected", [
         ([[1, 2, 3], [0, 1, 4]], (0, ())), ([[3, 1], [5, 2], [7, 7]], (1, ())),
-        ([], (0, ())), ([[], []], (2, ()))])
+        ([], (0, ())), ([[], []], (2, ()))], ids=["wide", "tall", "no-rows", "no-columns"])
     def test_unit_pivot_minor_takes_no_elimination(self, rows, expected, count_calls):
         # at D = 1 the column lattice of B is all of Z^r
         calls = count_calls(intlin, "smith_normal_form", "_smith_elimination")
         assert cokernel_invariants(IntMatrix.from_rows(rows, cols=3 if rows == [] else None)) == expected
         assert calls == {"smith_normal_form": 0, "_smith_elimination": 0}
+
+    def test_every_operation_meets_entries_reduced_below_the_modulus(self, monkeypatch):
+        # the bound on coefficient growth: each row or column operation of an
+        # elimination modulo D finds every entry already in [0, D)
+        seen = []
+
+        def watching(real):
+            def operation(rows, op):
+                seen.append((min(map(min, rows)), max(map(max, rows))))
+                return real(rows, op)
+            return operation
+
+        for name in ("_row_op", "_col_op"):
+            monkeypatch.setattr(intlin, name, watching(getattr(intlin, name)))
+        for s in range(6):
+            rng = random.Random(s)
+            a = M([[rng.randint(-9, 9) for _ in range(8)] for _ in range(6)])
+            modulus = abs(a._echelon[1])
+            seen.clear()
+            cokernel_invariants(a)
+            assert seen and all(0 <= low and high < modulus for low, high in seen), s
 
     @staticmethod
     def _planted(monkeypatch, fault):
