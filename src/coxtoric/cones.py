@@ -7,11 +7,14 @@ is a function of the cone alone, not of the generators the cone was built
 from.  All predicates are decided exactly over the integers/rationals.
 Cones are built by `cone_from_rays`; the zero cone is `cone_from_rays(rank, ())`.
 
-There is one facet search, `dual_constraints`: brute force over the
-(dim-1)-subsets of generators, which is entirely adequate at the intended
-scale (at most a dozen rays).  A subset's candidate normal is its vector of
-signed maximal minors divided by their gcd (`kernel_generator`, one Bareiss
-elimination).  The other direction reuses the search by duality:
+There is one facet search, `dual_constraints`.  When the generators are
+linearly independent, as in every simplicial cone, the normals are the
+columns of one scaled inverse c*P^-1 of their pairings P (Cramer's rule,
+one Bareiss elimination), each made primitive.  Otherwise it is brute force
+over the (dim-1)-subsets of generators, which is entirely adequate at the
+intended scale (at most a dozen rays): a subset's candidate normal is its
+vector of signed maximal minors divided by their gcd (`kernel_generator`,
+one Bareiss elimination).  The other direction reuses the search by duality:
 `cone_from_rays` reads the extreme rays off the dual description of its
 generators, and `Cone.intersect` finds those of an intersection as the
 facet normals of the sum of the two dual cones.
@@ -19,7 +22,8 @@ facet normals of the sum of the two dual cones.
 The combinatorics is read off one facet-ray incidence, the field
 `Cone.facet_rays` (for each facet normal, the rays it vanishes on), which
 `cone_from_rays` keeps from its extreme-ray test: a generator is extreme iff
-no other lies on every facet it lies on, with no rank.  The faces are the
+no other lies on every facet it lies on, with no rank; independent
+generators are all extreme, with no test.  The faces are the
 intersections of the facet ray sets (`Cone.faces` returns ray tuples and
 builds no cone; `Cone.is_face_of` looks a ray set up among them), and
 callers in `fans` read walls and boundary facets off the same incidence.
@@ -54,7 +58,11 @@ def dual_constraints(rank: int, generators: Sequence[Vector]) -> tuple[list[Vect
     linear span that vanishes on the facet and is nonnegative on the cone;
     the normals are returned sorted.  The span equations are the Hermite
     form (`lattice_canonical_form`) of the lattice of integer covectors
-    vanishing on the span.
+    vanishing on the span.  Independent generators take one scaled inverse
+    of their pairings in place of the subset search; every candidate normal
+    is checked to vanish on the generators of its facet, and one of the
+    scaled inverse also to be positive on the generator off it.
+    ArithmeticError if a check fails.
     """
     gens = sorted({primitive_vector(g) for g in generators})
     gen_rows = IntMatrix.from_rows(gens, cols=rank)
@@ -68,10 +76,25 @@ def dual_constraints(rank: int, generators: Sequence[Vector]) -> tuple[list[Vect
     # on a proper span with saturated basis B, a facet's normal is B*c for
     # the primitive c orthogonal to the pairings B^T g of its generators
     basis = saturation_basis(gen_rows.transpose()) if d < rank else None
-    pairings = gens if basis is None else (gen_rows @ basis).entries
+    pairings = gen_rows if basis is None else gen_rows @ basis
     normals = set()
+    if len(gens) == d:
+        # independent generators: the pairings P are square and nonsingular,
+        # and with P*X = c*I column j of X is zero on every generator but g_j
+        found = pairings.scaled_inverse()
+        if found is None:
+            raise ArithmeticError(f"the pairings of the independent generators {gens} are singular")
+        c, columns = found
+        for j, x in enumerate(columns):
+            u = primitive_vector(x if c > 0 else [-t for t in x])
+            u = u if basis is None else basis.apply(u)
+            values = [dot(u, g) for g in gens]
+            if values[j] <= 0 or any(values[:j] + values[j + 1:]):
+                raise ArithmeticError(f"candidate normal {u} is not a facet normal of {gens}")
+            normals.add(u)
+        return sorted(normals), equations
     for subset in combinations(range(len(gens)), d - 1):
-        c = kernel_generator([pairings[i] for i in subset], d)
+        c = kernel_generator([pairings.entries[i] for i in subset], d)
         if c is None:
             continue
         u = c if basis is None else basis.apply(c)
@@ -179,7 +202,9 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
     Generators are primitivized, deduplicated and reduced to the extreme
     rays: once one rank has shown that the cone contains no line, a
     generator is extreme iff no other generator lies on every facet that it
-    lies on; the generators' dual description is the cone's own.  Raises
+    lies on; the generators' dual description is the cone's own.  As many
+    generators as the cone's dimension are independent, so the cone is
+    pointed and each is extreme, with no rank and no test.  Raises
     InvalidRayError on a zero generator and StrongConvexityError if the
     generators span a cone containing a line.
     """
@@ -196,14 +221,18 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
             gens.append(p)
 
     normals, eqs = dual_constraints(rank, gens)
-    constraints = IntMatrix.from_rows(normals + eqs, cols=rank)
-    # the zero cone contains no line: no rank of its rank x rank equations
-    if gens and constraints.rank() < rank:
-        lineality = kernel_basis(constraints)
-        raise StrongConvexityError(
-            f"cone of {list(gens)} contains the line through {lineality[0]}")
     zeros = {g: {i for i, u in enumerate(normals) if dot(u, g) == 0} for g in gens}
-    survivors = [g for g in gens
-                 if not any(h != g and zeros[h] >= zeros[g] for h in gens)]
+    if len(gens) == rank - len(eqs):
+        # independent generators, or none: the cone is pointed and each
+        # generator is a ray, with no rank and no extreme-ray test
+        survivors = gens
+    else:
+        constraints = IntMatrix.from_rows(normals + eqs, cols=rank)
+        if constraints.rank() < rank:
+            lineality = kernel_basis(constraints)
+            raise StrongConvexityError(
+                f"cone of {list(gens)} contains the line through {lineality[0]}")
+        survivors = [g for g in gens
+                     if not any(h != g and zeros[h] >= zeros[g] for h in gens)]
     facet_rays = tuple(tuple(g for g in survivors if i in zeros[g]) for i in range(len(normals)))
     return Cone(rank, tuple(survivors), tuple(normals), tuple(eqs), facet_rays)

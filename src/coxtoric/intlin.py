@@ -10,18 +10,21 @@ One Smith elimination, one column Hermite elimination and one Bareiss per
 `IntMatrix` instance serve every caller: each is taken on first request
 and kept on the instance, frozen into tuples; two equal matrices built
 separately eliminate separately.  The Bareiss record (rank, signed last
-pivot, pivot columns, rows) gives the rank, `kernel_minors` and the modulus
-of `cokernel_invariants`, whose Smith elimination modulo that pivot minor
-is taken on every call and builds no transform.  An elimination logs its
-operations; a transform is the log replayed onto just what the caller
-reads.  Membership, divisibility index, integer solving and inversion are
+pivot, pivot columns, rows, pivot rows) gives the rank, `kernel_minors` and
+the modulus of `cokernel_invariants`, whose Smith elimination modulo that
+pivot minor is taken on every call and builds no transform.  A square
+matrix's `scaled_inverse` c*A^-1, c = det A, is one Bareiss of [A | I] and
+one back-substitution per column, shared with `kernel_minors`.  An
+elimination logs its operations; a transform is the log replayed onto just
+what the caller reads.  Membership, divisibility index, integer solving and inversion are
 one back-substitution per right-hand side against one column Hermite form.
 Results are certified by explicit checks that raise ArithmeticError:
 `smith_normal_form` checks U*A*V = D, `gcd_transform` U*v = (gcd(v), 0, ..., 0)
 (all of U*A*V = D for one column), `cokernel_invariants` replays its log onto
 A mod D and compares the result with the diagonal, and checks that each 2x2
 step is unimodular, that there are as many factors as the Bareiss rank, that
-they form a divisibility chain and that their product divides D,
+they form a divisibility chain, that their product divides D and, for D > 1,
+B_P*X = +-D*I by substitution for the pivot minor B_P and its scaled inverse X,
 `kernel_basis` checks A*K = 0 and the kernel's rank against the Bareiss rank,
 `saturation_basis` checks |det U^-1| = 1 and two Bareiss ranks, `solve_scaled`
 checks every column of its solution by substitution (A*X = I for
@@ -140,11 +143,13 @@ class IntMatrix:
     # Each elimination is taken once per instance, on first request, and
     # kept frozen into tuples so that no caller can change another's.
     @cached_property
-    def _echelon(self) -> tuple[int, int, tuple[int, ...], tuple[Vector, ...]]:
-        """The Bareiss record: (rank, signed last pivot, pivot columns, rows)."""
+    def _echelon(self) -> tuple[int, int, tuple[int, ...], tuple[Vector, ...], tuple[int, ...]]:
+        """The Bareiss record: (rank, signed last pivot, pivot columns, rows,
+        pivot rows), the last the indices in A of the rows that hold a pivot."""
         M = [list(row) for row in self.entries]
-        rank, last, pivots = _bareiss(M, self.cols)
-        return rank, last, tuple(pivots), tuple(map(tuple, M))
+        order = list(range(self.rows))
+        rank, last, pivots = _bareiss(M, self.cols, order)
+        return rank, last, tuple(pivots), tuple(map(tuple, M)), tuple(order[:rank])
 
     @cached_property
     def _smith(self) -> tuple[tuple[Vector, ...], tuple, tuple]:
@@ -163,7 +168,14 @@ class IntMatrix:
     def kernel_minors(self) -> list[int] | None:
         """`minors_vector` of the rows, back-substituted from the Bareiss
         record kept on the instance."""
-        return _minors(*self._echelon, self.cols)
+        return _minors(*self._echelon[:4], self.cols)
+
+    def scaled_inverse(self) -> tuple[int, list[list[int]]] | None:
+        """(c, columns of X) with A*X = c*I and c = det A, or None if the
+        square A is singular: `_scaled_inverse` of the rows."""
+        if self.rows != self.cols:
+            raise ShapeError(f"a {self.rows}x{self.cols} matrix has no inverse")
+        return _scaled_inverse(self.entries)
 
 
 def _built(rows: Iterable[Iterable[int]], cols: int) -> IntMatrix:
@@ -173,14 +185,14 @@ def _built(rows: Iterable[Iterable[int]], cols: int) -> IntMatrix:
     return IntMatrix(len(entries), cols, entries)
 
 
-def _bareiss(M: list[list[int]], cols: int) -> tuple[int, int, list[int]]:
+def _bareiss(M: list[list[int]], cols: int, order: list | None = None) -> tuple[int, int, list[int]]:
     """Fraction-free (Bareiss) row elimination of the row lists M, in place.
 
     Returns (rank, signed last pivot, pivot columns).  Afterwards row r
     holds its pivot in column pivots[r] and is exact to the right of it;
     entries to the left of a pivot are left uncleared.  When M is square of
     full rank the signed last pivot is its determinant; it is 1 when there
-    are no pivots.
+    are no pivots.  A list `order` is swapped along with the rows of M.
     """
     m = len(M)
     pivots: list[int] = []
@@ -194,6 +206,8 @@ def _bareiss(M: list[list[int]], cols: int) -> tuple[int, int, list[int]]:
             continue
         if piv != r:
             M[r], M[piv] = M[piv], M[r]
+            if order is not None:
+                order[r], order[piv] = order[piv], order[r]
             sign = -sign
         for i in range(r + 1, m):
             for k in range(j + 1, cols):
@@ -222,11 +236,32 @@ def _minors(rank: int, last: int, pivots: Sequence[int], M: Sequence[Sequence[in
         return None
     x = [0] * cols
     x[next(j for j in range(cols) if j not in pivots)] = last
-    for r in reversed(range(rank)):
+    return _fill_pivots(M, pivots, x)
+
+
+def _fill_pivots(M: Sequence[Sequence[int]], pivots: Sequence[int], x: list[int]) -> list[int]:
+    """Set the pivot entries of x, in place and from the last up, so that every
+    Bareiss row of M is zero on x, given its other entries; return x.  Each
+    division is exact when such an integer x exists, as by Cramer's rule."""
+    for r in reversed(range(len(pivots))):
         p = pivots[r]
         row = M[r]
-        x[p] = -sum(row[k] * x[k] for k in range(p + 1, cols)) // row[p]
+        x[p] = -sum(map(mul, row[p + 1:], x[p + 1:])) // row[p]
     return x
+
+
+def _scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]] | None:
+    """(c, columns of X) with M*X = c*I and c = det M, for the rows of a square
+    M, or None if M is singular.  One `_bareiss` of [M | I]; column j of X is
+    the kernel vector of [M | I] whose right half is -c*e_j, back-substituted
+    exactly because X = c*M^-1 is the adjugate up to sign (Bareiss 1968)."""
+    n = len(rows)
+    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    _, last, pivots = _bareiss(M, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return last, [_fill_pivots(M, pivots, [0] * (n + j) + [-last] + [0] * (n - 1 - j))[:n]
+                  for j in range(n)]
 
 
 def kernel_generator(rows: Sequence[Sequence[int]], cols: int) -> Vector | None:
@@ -587,15 +622,15 @@ def cokernel_invariants(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
     is nothing to eliminate.  A matrix that is rank-deficient both ways takes
     `smith_normal_form`, with its U*A*V = D check.
     """
-    rank, last, _, _ = a._echelon
+    rank, last, pivots, _, pivot_rows = a._echelon
     if rank != a.rows and rank != a.cols:
         snf = smith_normal_form(a)
         return a.rows - snf.rank(), tuple(d for d in snf.invariant_factors() if d > 1)
     modulus = abs(last)
     if modulus == 1:
         return a.rows - rank, ()
-    b = a if rank == a.rows else a.transpose()
-    factors = _modular_factors(b, rank, modulus, _smith_elimination(b, modulus))
+    b, lines = (a, pivots) if rank == a.rows else (a.transpose(), pivot_rows)
+    factors = _modular_factors(b, rank, modulus, _smith_elimination(b, modulus), lines)
     return a.rows - rank, tuple(f for f in factors if f > 1)
 
 
@@ -622,14 +657,17 @@ def _replay_modulo(lines: list[list[int]], log, modulus: int) -> None:
             lines[i] = [-u % modulus for u in lines[i]]
 
 
-def _modular_factors(b: IntMatrix, rank: int, modulus: int, elimination) -> tuple[int, ...]:
+def _modular_factors(b: IntMatrix, rank: int, modulus: int, elimination,
+                     pivot_lines: Sequence[int]) -> tuple[int, ...]:
     """The invariant factors gcd(d_i, modulus) of B, of full row rank r >= 1,
-    from its Smith elimination (D, rows, cols) modulo an r x r minor `modulus`,
-    certified with no call to `_row_op` or `_col_op`: the row log, then the
-    column log, replayed onto B mod `modulus` give diag(d_1, ..., d_r), each
-    2x2 step unimodular; there are as many factors as the Bareiss rank; they
-    form a divisibility chain; and their product divides `modulus`.
-    ArithmeticError if any check fails."""
+    from its Smith elimination (D, rows, cols) modulo the r x r minor `modulus`
+    on the columns `pivot_lines`, certified with no call to `_row_op` or `_col_op`:
+    the row log, then the column log, replayed onto B mod `modulus` give
+    diag(d_1, ..., d_r), each 2x2 step unimodular; there are as many factors as
+    the Bareiss rank; they form a divisibility chain; their product divides
+    `modulus`; and B_P*X = +-modulus*I by substitution, for the submatrix B_P
+    of B on `pivot_lines` and X from `_scaled_inverse`, so that modulus*Z^r lies in
+    the column lattice of B.  ArithmeticError if any check fails."""
     D, rows, cols = elimination
     d = [D[i][i] for i in range(b.rows)]
     lines = [[x % modulus for x in row] for row in b.entries]
@@ -646,6 +684,13 @@ def _modular_factors(b: IntMatrix, rank: int, modulus: int, elimination) -> tupl
         raise ArithmeticError(f"invariant factors {factors} fail the divisibility chain")
     if modulus % prod(factors):
         raise ArithmeticError(f"invariant factors {factors} do not divide the minor {modulus}")
+    minor = [[row[j] for j in pivot_lines] for row in b.entries]
+    found = _scaled_inverse(minor)
+    if found is None or abs(found[0]) != modulus or any(
+            [dot(row, x) for row in minor] != [found[0] * (i == j) for i in range(rank)]
+            for j, x in enumerate(found[1])):
+        raise ArithmeticError(f"columns {tuple(pivot_lines)} of {b} do not give {modulus} * I: "
+                              f"{modulus} * Z^{rank} is not shown to lie in its column lattice")
     return factors
 
 

@@ -10,7 +10,7 @@ from coxtoric import cones
 from coxtoric.cones import Cone, cone_from_rays
 from coxtoric.errors import InvalidRayError, ShapeError, StrongConvexityError
 from coxtoric.intlin import IntMatrix, dot, lattice_canonical_form
-from oracles import cone_contains_lp
+from oracles import cone_contains_lp, rank_fraction_gauss
 
 
 def quadrant():
@@ -156,15 +156,21 @@ class TestRedundantGenerators:
     @given(cones_with_redundant_generators())
     @settings(max_examples=30, deadline=None)
     def test_one_rank_per_cone(self, case):
+        # a combination can deduplicate to a ray, which leaves independent
+        # generators: they take no rank, and any other generators take one
         c, gens = case
+        distinct = _distinct_primitive(gens)
+        independent = rank_fraction_gauss(distinct, c.ambient_rank) == len(distinct)
         with pytest.MonkeyPatch.context() as mp:
             calls = []
             mp.setattr(IntMatrix, "rank", lambda m, f=IntMatrix.rank: calls.append(m) or f(m))
             assert cone_from_rays(c.ambient_rank, gens) == c
+            assert len(calls) == (0 if independent else 1)
+            calls.clear()
             with pytest.raises(StrongConvexityError):
                 cone_from_rays(c.ambient_rank, gens + [[-x for x in gens[0]]])
-        # one for the cone, one for the cone that contains a line
-        assert len(calls) == 2
+        # the cone that contains a line takes one
+        assert len(calls) == 1
 
 
 @st.composite
@@ -255,6 +261,73 @@ class TestDualDescription:
         again = cone_from_rays(c.ambient_rank, c.rays)
         assert again == c
         assert set(again.facet_normals) == set(c.facet_normals)
+
+
+@st.composite
+def independent_sets(draw):
+    """(rank, generators): 1 to rank linearly independent integer vectors in
+    rank 1 to 6, so the cone is simplicial, full-dimensional or not."""
+    rank = draw(st.integers(1, 6))
+    k = draw(st.integers(1, rank))
+    vector = st.lists(st.integers(-4, 4), min_size=rank, max_size=rank)
+    gens = draw(st.lists(vector, min_size=k, max_size=k))
+    assume(rank_fraction_gauss(gens, rank) == k)
+    return rank, gens
+
+
+class TestSimplicialCones:
+    @staticmethod
+    def _fields(c):
+        return c.ambient_rank, c.rays, c.facet_normals, c.span_equations, c.facet_rays
+
+    @given(independent_sets())
+    @settings(max_examples=150)
+    def test_same_cone_as_with_an_interior_generator(self, case):
+        # the sum of two or more independent generators is interior and
+        # dependent, so the second call takes the subset search, the rank and
+        # the extreme-ray test; one generator is its own sum
+        rank, gens = case
+        total = [sum(column) for column in zip(*gens)]
+        with pytest.MonkeyPatch.context() as mp:
+            calls = []
+            mp.setattr(IntMatrix, "rank", lambda m, f=IntMatrix.rank: calls.append(m) or f(m))
+            simplicial = cone_from_rays(rank, gens)
+            assert calls == []
+            padded = cone_from_rays(rank, gens + [total])
+            assert len(calls) == (len(gens) > 1)
+        assert self._fields(simplicial) == self._fields(padded)
+        assert simplicial.is_simplicial() and simplicial.dim == len(gens)
+
+    @pytest.mark.parametrize("rank, gens", [
+        (2, [(1, 0), (1, 2)]),
+        (3, [(1, 0, 0), (0, 1, 0), (1, 1, 3)]),
+        (3, [(1, 2, 0), (0, 1, 1)]),
+        (4, [(2, 0, 0, 4)]),
+        (5, [(1, 0, 0, 0, 1), (0, 1, 0, 0, -1), (0, 0, 1, 2, 0)]),
+    ], ids=["full-2", "full-3", "plane-3", "ray-4", "span-3-in-5"])
+    def test_simplicial_cone_takes_no_subset_search_and_no_rank(self, rank, gens, count_calls):
+        calls = count_calls(cones, "dual_constraints", "kernel_basis", "kernel_generator")
+        ranks = count_calls(IntMatrix, "rank")
+        assert cone_from_rays(rank, gens).is_simplicial()
+        assert calls == {"dual_constraints": 1, "kernel_basis": 1, "kernel_generator": 0}
+        assert ranks == {"rank": 0}
+
+    @pytest.mark.parametrize("fault, message", [
+        # column 0 of X plus column 1: not zero on the second generator
+        (lambda c, X: (c, [[a + b for a, b in zip(X[0], X[1])]] + X[1:]), "not a facet normal"),
+        # the wrong sign of c: each normal negative on its own generator
+        (lambda c, X: (-c, X), "not a facet normal"),
+        (lambda c, X: None, "are singular"),
+    ], ids=["wrong-column", "wrong-sign", "singular"])
+    @pytest.mark.parametrize("rank, gens", [
+        (3, [(1, 0, 0), (0, 1, 0), (1, 1, 3)]),
+        (4, [(1, 0, 0, 1), (0, 1, 0, -1), (0, 0, 1, 2)]),
+    ], ids=["full", "proper-span"])
+    def test_planted_scaled_inverse_raises(self, fault, message, rank, gens, monkeypatch):
+        real = IntMatrix.scaled_inverse
+        monkeypatch.setattr(IntMatrix, "scaled_inverse", lambda m: fault(*real(m)))
+        with pytest.raises(ArithmeticError, match=message):
+            cone_from_rays(rank, gens)
 
 
 class TestContainsPoint:

@@ -32,6 +32,7 @@ from oracles import (
     brute_divisibility_index,
     brute_lattice_member,
     det_cofactor,
+    det_fraction_gauss,
     invariant_factors_by_minors,
     inverse_fraction_gauss_jordan,
     rank_fraction_gauss,
@@ -211,6 +212,44 @@ class TestDeterminant:
         assert bareiss_det([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 0
 
 
+@st.composite
+def square_matrices(draw):
+    """n x n integer matrices, n from 0 to 8; about half are made singular by
+    replacing a row with an integer combination of two others, or by zero."""
+    n = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        k, i, j = (draw(st.integers(0, n - 1)) for _ in range(3))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])] if i != k != j else [0] * n
+    return rows
+
+
+class TestScaledInverse:
+    @given(square_matrices())
+    @settings(max_examples=300)
+    @example([])
+    @example([[0]])
+    @example([[0, 1], [1, 0]])
+    def test_agrees_with_the_fraction_oracle(self, rows):
+        # M*X = c*I with c = det M, X = c * M^-1; None iff M is singular
+        found = intlin._scaled_inverse(rows)
+        inverse = inverse_fraction_gauss_jordan(rows)
+        if inverse is None:
+            assert found is None
+            return
+        c, columns = found
+        assert c == det_fraction_gauss(rows)
+        assert [list(row) for row in zip(*columns)] == [[c * x for x in row] for row in inverse]
+        assert all(type(x) is int for column in columns for x in column)
+
+    def test_method_is_the_helper_on_square_matrices_only(self):
+        assert M([[1, 2], [3, 4]]).scaled_inverse() == (-2, [[4, -3], [-2, 1]])
+        with pytest.raises(ShapeError, match="2x3 matrix has no inverse"):
+            M([[1, 2, 3], [4, 5, 6]]).scaled_inverse()
+
+
 class TestCokernel:
     def test_index_two_sublattice(self):
         cols = [(1, 1), (0, 2)]
@@ -325,6 +364,26 @@ class TestCokernel:
         a = M([[2, 0], [0, 2]])
         a.__dict__["_echelon"] = a._echelon[:1] + (2,) + a._echelon[2:]
         with pytest.raises(ArithmeticError, match="do not divide the minor 2"):
+            cokernel_invariants(a)
+
+    def test_pivot_minor_planted_into_the_record_raises(self):
+        # a last pivot 3 planted into [[2]]'s record: modulo 3 the one factor
+        # is gcd(2, 3) = 1 and the log, chain and product checks pass, but no
+        # integer X has [[2]] * X = +-3 * I
+        a = M([[2]])
+        a.__dict__["_echelon"] = (1, 3, (0,), ((2,),), (0,))
+        with pytest.raises(ArithmeticError, match="3 \\* Z\\^1 is not shown"):
+            cokernel_invariants(a)
+
+    def test_tall_matrix_certifies_on_its_swapped_pivot_rows(self):
+        # Bareiss swaps rows 1 and 2 into place: the pivot minor is on rows
+        # (1, 2) of A, where rows (0, 1) are singular
+        a = M([[0, 0], [3, 0], [0, 6]])
+        assert a._echelon[4] == (1, 2)
+        assert cokernel_invariants(a) == (1, (3, 6))
+        a = M([[0, 0], [3, 0], [0, 6]])
+        a.__dict__["_echelon"] = a._echelon[:4] + ((0, 1),)
+        with pytest.raises(ArithmeticError, match="do not give 18 \\* I"):
             cokernel_invariants(a)
 
     @pytest.mark.parametrize("n", [35, 40, 45])
@@ -804,10 +863,10 @@ class TestEliminationMemo:
         ranks = []
         real = intlin._bareiss
 
-        def counting(rows, cols):
+        def counting(rows, cols, *order):
             if rows == [list(row) for row in a.entries]:
                 ranks.append(cols)
-            return real(rows, cols)
+            return real(rows, cols, *order)
 
         monkeypatch.setattr(intlin, "_bareiss", counting)
         return ranks
@@ -942,8 +1001,9 @@ class TestEliminationMemo:
         for D, first, second in (a._smith, a._hermite):
             assert type(D) is tuple and all(type(row) is tuple for row in D)
             assert type(first) is tuple and type(second) is tuple
-        _, _, pivots, rows = a._echelon
+        _, _, pivots, rows, pivot_rows = a._echelon
         assert type(pivots) is tuple and all(type(row) is tuple for row in rows)
+        assert type(pivot_rows) is tuple
 
 
 class TestGcdTransform:
