@@ -59,9 +59,9 @@ def dual_constraints(rank: int, generators: Sequence[Vector]) -> tuple[list[Vect
     the normals are returned sorted.  The span equations are the Hermite
     form (`lattice_canonical_form`) of the lattice of integer covectors
     vanishing on the span.  Independent generators take one scaled inverse
-    of their pairings in place of the subset search; every candidate normal
-    is checked to vanish on the generators of its facet, and one of the
-    scaled inverse also to be positive on the generator off it.
+    of their pairings in place of the subset search.  Every candidate normal
+    is checked to vanish on the generators of its facet, and one from the
+    scaled inverse also to be positive on its own generator;
     ArithmeticError if a check fails.
     """
     gens = sorted({primitive_vector(g) for g in generators})

@@ -16,8 +16,9 @@ pivot minor is taken on every call and builds no transform.  A square
 matrix's `scaled_inverse` c*A^-1, c = det A, is one Bareiss of [A | I] and
 one back-substitution per column, shared with `kernel_minors`.  An
 elimination logs its operations; a transform is the log replayed onto just
-what the caller reads.  Membership, divisibility index, integer solving and inversion are
-one back-substitution per right-hand side against one column Hermite form.
+what the caller reads.  Membership, divisibility index, integer solving and
+inversion are one back-substitution per right-hand side against one column
+Hermite form.
 Results are certified by explicit checks that raise ArithmeticError:
 `smith_normal_form` checks U*A*V = D, `gcd_transform` U*v = (gcd(v), 0, ..., 0)
 (all of U*A*V = D for one column), `cokernel_invariants` replays its log onto
@@ -254,7 +255,7 @@ def _scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]
     """(c, columns of X) with M*X = c*I and c = det M, for the rows of a square
     M, or None if M is singular.  One `_bareiss` of [M | I]; column j of X is
     the kernel vector of [M | I] whose right half is -c*e_j, back-substituted
-    exactly because X = c*M^-1 is the adjugate up to sign (Bareiss 1968)."""
+    exactly because X = c*M^-1 is the adjugate of M (Bareiss 1968)."""
     n = len(rows)
     M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     _, last, pivots = _bareiss(M, 2 * n)
