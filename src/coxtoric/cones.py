@@ -7,14 +7,11 @@ is a function of the cone alone, not of the generators the cone was built
 from.  All predicates are decided exactly over the integers/rationals.
 Cones are built by `cone_from_rays`; the zero cone is `cone_from_rays(rank, ())`.
 
-There is one facet search, `dual_constraints`.  When the generators are
-linearly independent, as in every simplicial cone, the normals are the
-columns of one scaled inverse c*P^-1 of their pairings P (Cramer's rule,
-one Bareiss elimination), each made primitive.  Otherwise it is brute force
-over the (dim-1)-subsets of generators, which is entirely adequate at the
-intended scale (at most a dozen rays): a subset's candidate normal is its
-vector of signed maximal minors divided by their gcd (`kernel_generator`,
-one Bareiss elimination).  The other direction reuses the search by duality:
+There is one facet search, `dual_constraints`: brute force over the
+(dim-1)-subsets of generators, which is entirely adequate at the intended
+scale (at most a dozen rays).  A subset's candidate normal is its vector of
+signed maximal minors divided by their gcd (`kernel_generator`, one Bareiss
+elimination).  The other direction reuses the search by duality:
 `cone_from_rays` reads the extreme rays off the dual description of its
 generators, and `Cone.intersect` finds those of an intersection as the
 facet normals of the sum of the two dual cones.
@@ -58,11 +55,7 @@ def dual_constraints(rank: int, generators: Sequence[Vector]) -> tuple[list[Vect
     linear span that vanishes on the facet and is nonnegative on the cone;
     the normals are returned sorted.  The span equations are the Hermite
     form (`lattice_canonical_form`) of the lattice of integer covectors
-    vanishing on the span.  Independent generators take one scaled inverse
-    of their pairings in place of the subset search.  Every candidate normal
-    is checked to vanish on the generators of its facet, and one from the
-    scaled inverse also to be positive on its own generator;
-    ArithmeticError if a check fails.
+    vanishing on the span.
     """
     gens = sorted({primitive_vector(g) for g in generators})
     gen_rows = IntMatrix.from_rows(gens, cols=rank)
@@ -76,25 +69,10 @@ def dual_constraints(rank: int, generators: Sequence[Vector]) -> tuple[list[Vect
     # on a proper span with saturated basis B, a facet's normal is B*c for
     # the primitive c orthogonal to the pairings B^T g of its generators
     basis = saturation_basis(gen_rows.transpose()) if d < rank else None
-    pairings = gen_rows if basis is None else gen_rows @ basis
+    pairings = gens if basis is None else (gen_rows @ basis).entries
     normals = set()
-    if len(gens) == d:
-        # independent generators: the pairings P are square and nonsingular,
-        # and with P*X = c*I column j of X is zero on every generator but g_j
-        found = pairings.scaled_inverse()
-        if found is None:
-            raise ArithmeticError(f"the pairings of the independent generators {gens} are singular")
-        c, columns = found
-        for j, x in enumerate(columns):
-            u = primitive_vector(x if c > 0 else [-t for t in x])
-            u = u if basis is None else basis.apply(u)
-            values = [dot(u, g) for g in gens]
-            if values[j] <= 0 or any(values[:j] + values[j + 1:]):
-                raise ArithmeticError(f"candidate normal {u} is not a facet normal of {gens}")
-            normals.add(u)
-        return sorted(normals), equations
     for subset in combinations(range(len(gens)), d - 1):
-        c = kernel_generator([pairings.entries[i] for i in subset], d)
+        c = kernel_generator([pairings[i] for i in subset], d)
         if c is None:
             continue
         u = c if basis is None else basis.apply(c)

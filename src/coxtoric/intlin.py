@@ -12,9 +12,7 @@ and kept on the instance, frozen into tuples; two equal matrices built
 separately eliminate separately.  The Bareiss record (rank, signed last
 pivot, pivot columns, rows, pivot rows) gives the rank, `kernel_minors` and
 the modulus of `cokernel_invariants`, whose Smith elimination modulo that
-pivot minor is taken on every call and builds no transform.  A square
-matrix's `scaled_inverse` c*A^-1, c = det A, is one Bareiss of [A | I] and
-one back-substitution per column, shared with `kernel_minors`.  An
+pivot minor is taken on every call and builds no transform.  An
 elimination logs its operations; a transform is the log replayed onto just
 what the caller reads.  Membership, divisibility index, integer solving and
 inversion are one back-substitution per right-hand side against one column
@@ -170,13 +168,6 @@ class IntMatrix:
         """`minors_vector` of the rows, back-substituted from the Bareiss
         record kept on the instance."""
         return _minors(*self._echelon[:4], self.cols)
-
-    def scaled_inverse(self) -> tuple[int, list[list[int]]] | None:
-        """(c, columns of X) with A*X = c*I and c = det A, or None if the
-        square A is singular: `_scaled_inverse` of the rows."""
-        if self.rows != self.cols:
-            raise ShapeError(f"a {self.rows}x{self.cols} matrix has no inverse")
-        return _scaled_inverse(self.entries)
 
 
 def _built(rows: Iterable[Iterable[int]], cols: int) -> IntMatrix:

@@ -244,11 +244,6 @@ class TestScaledInverse:
         assert [list(row) for row in zip(*columns)] == [[c * x for x in row] for row in inverse]
         assert all(type(x) is int for column in columns for x in column)
 
-    def test_method_is_the_helper_on_square_matrices_only(self):
-        assert M([[1, 2], [3, 4]]).scaled_inverse() == (-2, [[4, -3], [-2, 1]])
-        with pytest.raises(ShapeError, match="2x3 matrix has no inverse"):
-            M([[1, 2, 3], [4, 5, 6]]).scaled_inverse()
-
 
 class TestCokernel:
     def test_index_two_sublattice(self):
@@ -374,6 +369,18 @@ class TestCokernel:
         a.__dict__["_echelon"] = (1, 3, (0,), ((2,),), (0,))
         with pytest.raises(ArithmeticError, match="3 \\* Z\\^1 is not shown"):
             cokernel_invariants(a)
+
+    @pytest.mark.parametrize("fault", [
+        # column 0 of X plus column 1: no longer zero off the diagonal
+        lambda c, X: (c, [[a + b for a, b in zip(X[0], X[1])]] + X[1:]),
+        lambda c, X: (2 * c, X),
+        lambda c, X: None,
+    ], ids=["wrong-column", "wrong-scale", "singular"])
+    def test_planted_scaled_inverse_raises(self, fault, monkeypatch):
+        real = intlin._scaled_inverse
+        monkeypatch.setattr(intlin, "_scaled_inverse", lambda rows: fault(*real(rows)))
+        with pytest.raises(ArithmeticError, match="144 \\* Z\\^3 is not shown"):
+            cokernel_invariants(M([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
 
     def test_tall_matrix_certifies_on_its_swapped_pivot_rows(self):
         # Bareiss swaps rows 1 and 2 into place: the pivot minor is on rows
