@@ -15,11 +15,14 @@ other in the working tree; the side that runs first alternates from pair to
 pair.  Each side imports from its own fresh bytecode: its runs get their own
 PYTHONPYCACHEPREFIX, warmed by one untimed import of the benchmark and the
 package, so that `setup_s` does not time the compilation of stale `.py`
-files.  The output file holds every run's final JSON line with its
-`outputs_sha256` line, the git revisions, the Python version and the
-machine, and per workload and end-to-end metric the medians and quartiles of
-each side, the number of pairs the change won, whether the change stayed
-inside the metric's bound and whether it met a claimed gain's test.  It is
+files.  The output file holds every run's final JSON line, its
+`outputs_sha256` line and the fields of its progress line (passes over the
+pool, unscaled ops/s, the reference kernel's median and the scaled set-up
+times, so that host drift can be told from program cost); the git
+revisions, the Python version and the machine; and per workload and
+end-to-end metric the medians and quartiles of each side, the number of
+pairs the change won, whether the change stayed inside the metric's bound
+and whether it met a claimed gain's test.  It is
 rewritten after every pair.  SIGTERM or SIGINT to this script stops the
 running side with SIGINT, and with SIGKILL after GRACE seconds, so that no
 run and no .work-* or bench-pairs-* directory is left.  Standard library only.
@@ -31,6 +34,7 @@ import io
 import json
 import os
 import platform
+import re
 import signal
 import statistics
 import subprocess
@@ -42,6 +46,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 GRACE = 10
+PROGRESS = re.compile(r"passes (?P<passes>\S+) over (?P<ops>\d+) ops; every op as timed, "
+                      r"unscaled: (?P<unscaled>\S+) ops/s; kernel median (?P<kernel>\S+) ms "
+                      r"over (?P<probes>\d+) probes; scaled set-ups (?P<setups>[\d. ]*) s")
 WARM = ("import os, sys; sys.path[:0] = [os.path.abspath('perfbench'), os.path.abspath('src')]; "
         "import run; run.load_package()")
 
@@ -112,6 +119,17 @@ def summarize(runs, better, bounds):
     return out
 
 
+def progress(lines):
+    """The fields of run.py's progress line among `lines`, or None without one."""
+    found = next(filter(None, map(PROGRESS.fullmatch, lines)), None)
+    if found is None:
+        return None
+    return {"passes": float(found["passes"]), "pool_ops": int(found["ops"]),
+            "unscaled_ops_per_s": float(found["unscaled"]),
+            "kernel_median_ms": float(found["kernel"]), "probes": int(found["probes"]),
+            "scaled_setups_s": [float(t) for t in found["setups"].split()]}
+
+
 def stop(child):
     """Send SIGINT to the process group of the run `child`, so that the
     `finally` blocks of run.py and of its --setup-only children remove their
@@ -140,7 +158,7 @@ def run_side(root, env, workload, seed, seconds):
         raise SystemExit(f"{' '.join(argv)} failed in {root}:\n{stderr}")
     lines = stdout.splitlines()
     digest = next(line.split()[-1] for line in lines if line.startswith("outputs_sha256"))
-    return {"outputs_sha256": digest, "result": json.loads(lines[-1])}
+    return {"outputs_sha256": digest, "progress": progress(lines), "result": json.loads(lines[-1])}
 
 
 def terminated(signum, frame):

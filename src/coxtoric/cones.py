@@ -19,8 +19,9 @@ facet normals of the sum of the two dual cones.
 The combinatorics is read off one facet-ray incidence, the field
 `Cone.facet_rays` (for each facet normal, the rays it vanishes on), which
 `cone_from_rays` keeps from its extreme-ray test: a generator is extreme iff
-no other lies on every facet it lies on, with no rank; independent
-generators are all extreme, with no test.  The faces are the
+no other lies on every facet it lies on.  Independent generators are all
+extreme, with no rank and no test, and their incidence is one pass over
+them per facet normal.  The faces are the
 intersections of the facet ray sets (`Cone.faces` returns ray tuples and
 builds no cone; `Cone.is_face_of` looks a ray set up among them), and
 callers in `fans` read walls and boundary facets off the same incidence.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from .errors import InvalidRayError, ShapeError, StrongConvexityError
@@ -76,12 +78,12 @@ def dual_constraints(rank: int, generators: Sequence[Vector]) -> tuple[list[Vect
         if c is None:
             continue
         u = c if basis is None else basis.apply(c)
-        values = [dot(u, g) for g in gens]
+        values = [sum(map(mul, u, g)) for g in gens]
         if any(values[i] for i in subset):
             raise ArithmeticError(f"candidate normal {u} is not zero on its generators")
-        if all(v >= 0 for v in values):
+        if min(values) >= 0:
             normals.add(u)
-        elif all(v <= 0 for v in values):
+        elif max(values) <= 0:
             normals.add(tuple(-x for x in u))
     return sorted(normals), equations
 
@@ -180,9 +182,10 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
     Generators are primitivized, deduplicated and reduced to the extreme
     rays: once one rank has shown that the cone contains no line, a
     generator is extreme iff no other generator lies on every facet that it
-    lies on; the generators' dual description is the cone's own.  As many
-    generators as the cone's dimension are independent, so the cone is
-    pointed and each is extreme, with no rank and no test.  Raises
+    lies on, by their zero sets; the generators' dual description is the
+    cone's own.  As many generators as the cone's dimension are independent,
+    so the cone is pointed and each is extreme, with no rank, no test and no
+    zero sets: `facet_rays` is one pass over the generators per normal.  Raises
     InvalidRayError on a zero generator and StrongConvexityError if the
     generators span a cone containing a line.
     """
@@ -199,18 +202,18 @@ def cone_from_rays(rank: int, generators: Sequence[Sequence[int]]) -> Cone:
             gens.append(p)
 
     normals, eqs = dual_constraints(rank, gens)
-    zeros = {g: {i for i, u in enumerate(normals) if dot(u, g) == 0} for g in gens}
     if len(gens) == rank - len(eqs):
         # independent generators, or none: the cone is pointed and each
         # generator is a ray, with no rank and no extreme-ray test
-        survivors = gens
-    else:
-        constraints = IntMatrix.from_rows(normals + eqs, cols=rank)
-        if constraints.rank() < rank:
-            lineality = kernel_basis(constraints)
-            raise StrongConvexityError(
-                f"cone of {list(gens)} contains the line through {lineality[0]}")
-        survivors = [g for g in gens
-                     if not any(h != g and zeros[h] >= zeros[g] for h in gens)]
+        return Cone(rank, tuple(gens), tuple(normals), tuple(eqs),
+                    tuple(tuple(g for g in gens if not sum(map(mul, u, g))) for u in normals))
+    constraints = IntMatrix.from_rows(normals + eqs, cols=rank)
+    if constraints.rank() < rank:
+        lineality = kernel_basis(constraints)
+        raise StrongConvexityError(
+            f"cone of {list(gens)} contains the line through {lineality[0]}")
+    zeros = {g: {i for i, u in enumerate(normals) if dot(u, g) == 0} for g in gens}
+    survivors = [g for g in gens
+                 if not any(h != g and zeros[h] >= zeros[g] for h in gens)]
     facet_rays = tuple(tuple(g for g in survivors if i in zeros[g]) for i in range(len(normals)))
     return Cone(rank, tuple(survivors), tuple(normals), tuple(eqs), facet_rays)

@@ -24,10 +24,9 @@ from .fans import Fan
 from .groups import DiagonalizableSubgroup, WeightAction, is_effective
 from .intlin import (
     IntMatrix,
-    SnfResult,
     Vector,
     cokernel_invariants,
-    smith_normal_form,
+    smith_row_transform,
     solve_scaled,
 )
 
@@ -77,16 +76,17 @@ class CoxPresentation:
         return self.q_matrix.cols
 
     @cached_property
-    def _grading_snf(self) -> SnfResult:
-        """Smith form U * Q^T * V = D, taken once per presentation; U maps
+    def _grading(self) -> tuple[IntMatrix, Vector]:
+        """U and the nonzero diagonal (d_1, ..., d_rho) of the Smith form
+        U * Q^T * V = D, taken once per presentation, with no V; U maps
         exponent vectors to coordinates in which the grading group is the
-        product of the Z/d_i and Z^free.  Its rank is n iff the fan is nondegenerate.
+        product of the Z/d_i and Z^free.  rho is n iff the fan is nondegenerate.
         Q^T is H's relation matrix; H's decomposition reads only its invariant
         factors, modulo Q^T's Bareiss pivot minor, with no transform."""
-        snf = smith_normal_form(self.kernel_group.relations)
-        if snf.rank() != self.delta.rank:
+        u, d = smith_row_transform(self.kernel_group.relations)
+        if len(d) != self.delta.rank:
             raise HypothesisError("class group requires a nondegenerate fan")
-        return snf
+        return u, d
 
 
 @dataclass(frozen=True)
@@ -152,17 +152,15 @@ def variety_is_smooth(delta: Fan) -> bool:
 
 def class_group(p: CoxPresentation) -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion) of the grading group Z^m / im(Q^T)."""
-    snf = p._grading_snf
-    return p.num_coordinates - snf.rank(), tuple(d for d in snf.invariant_factors() if d > 1)
+    _, d = p._grading
+    return p.num_coordinates - len(d), tuple(x for x in d if x > 1)
 
 
-def _degree(snf: SnfResult, w: Vector) -> ClassGroupElement:
-    """Grading-group element with Smith coordinates w = U * exponents."""
-    rho = snf.rank()
-    diag = snf.D.diagonal_entries()
-    torsion = tuple(w[i] % diag[i] for i in range(rho) if diag[i] > 1)
-    moduli = tuple(diag[i] for i in range(rho) if diag[i] > 1)
-    return ClassGroupElement(tuple(w[rho:]), torsion, moduli)
+def _degree(d: Vector, w: Vector) -> ClassGroupElement:
+    """Grading-group element with Smith coordinates w = U * exponents, for
+    the Smith diagonal d."""
+    torsion = tuple(w[i] % x for i, x in enumerate(d) if x > 1)
+    return ClassGroupElement(tuple(w[len(d):]), torsion, tuple(x for x in d if x > 1))
 
 
 def degree_of_monomial(p: CoxPresentation, exponents: Sequence[int]) -> ClassGroupElement:
@@ -171,15 +169,15 @@ def degree_of_monomial(p: CoxPresentation, exponents: Sequence[int]) -> ClassGro
     m = p.num_coordinates
     if len(exponents) != m:
         raise ShapeError(f"exponent vector must have length {m}")
-    snf = p._grading_snf
-    return _degree(snf, snf.U.apply(exponents))
+    u, d = p._grading
+    return _degree(d, u.apply(exponents))
 
 
 def ray_degrees(p: CoxPresentation) -> list[ClassGroupElement]:
     """Degrees of the m coordinate functions; they generate the grading group.
     The degree of coordinate i is read off column i of U."""
-    snf = p._grading_snf
-    return [_degree(snf, w) for w in snf.U.columns()]
+    u, d = p._grading
+    return [_degree(d, w) for w in u.columns()]
 
 
 def lift_subtorus(p: CoxPresentation, iota: IntMatrix) -> LiftResult:

@@ -116,9 +116,11 @@ class Fan:
         support is open and closed in the interior of C, hence equals C by
         connectedness; otherwise it is not convex.  A boundary wall lies in
         a facet of C iff its cone's facet normal there is >= 0 on every ray,
-        so C is never computed.  Fans whose rays span a proper subspace are
-        first reduced to it; if the fan is not pure full-dimensional after
-        reduction, UnsupportedShapeError is raised.
+        so C is never computed.  A fan with a full-dimensional maximal cone
+        spans, which takes no rank; other fans take the rank of their rays,
+        and those whose rays span a proper subspace are first reduced to it;
+        if the fan is not pure full-dimensional after reduction,
+        UnsupportedShapeError is raised.
         """
         return self._breach() is None
 
@@ -133,8 +135,11 @@ class Fan:
         negative on a ray, in this fan's own rays; None when there is none."""
         if not self.rays:
             return None
-        ray_matrix = IntMatrix.from_columns(self.rays, rows=self.rank)
-        span_dim = ray_matrix.rank()
+        span_dim = self.rank
+        if all(c.dim < self.rank for c in self.max_cones):
+            # else a full-dimensional maximal cone's rays span, with no rank
+            ray_matrix = IntMatrix.from_columns(self.rays, rows=self.rank)
+            span_dim = ray_matrix.rank()
         if span_dim < self.rank:
             # coordinates on the saturated span are a lattice isomorphism onto
             # Z^span_dim, so this validated fan's image is a fan with its breach

@@ -19,7 +19,8 @@ inversion are one back-substitution per right-hand side against one column
 Hermite form.
 Results are certified by explicit checks that raise ArithmeticError:
 `smith_normal_form` checks U*A*V = D, `gcd_transform` U*v = (gcd(v), 0, ..., 0)
-(all of U*A*V = D for one column), `cokernel_invariants` replays its log onto
+(all of U*A*V = D for one column), `smith_row_transform` that U induces an
+isomorphism of the cokernel, `cokernel_invariants` replays its log onto
 A mod D and compares the result with the diagonal, and checks that each 2x2
 step is unimodular, that there are as many factors as the Bareiss rank, that
 they form a divisibility chain, that their product divides D and, for D > 1,
@@ -53,10 +54,13 @@ def dot(u: Sequence, v: Sequence):
 
 
 def primitive_vector(v: Sequence[int]) -> Vector:
-    """Divide v by the (positive) gcd of its entries, keeping direction."""
+    """Divide v by the (positive) gcd of its entries, keeping direction; a
+    primitive tuple of plain ints (no bools) is returned as it is."""
     g = gcd(*v)
     if g == 0:
         raise InvalidRayError("zero vector has no primitive representative")
+    if g == 1 and type(v) is tuple and {*map(type, v)} == {int}:
+        return v
     return tuple(a // g for a in v)
 
 
@@ -193,19 +197,23 @@ def _bareiss(M: list[list[int]], cols: int, order: list | None = None) -> tuple[
     for j in range(cols):
         if r == m:
             break
-        piv = next((i for i in range(r, m) if M[i][j]), None)
-        if piv is None:
+        for i in range(r, m):
+            if M[i][j]:
+                break
+        else:
             continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
+        if i != r:
+            M[r], M[i] = M[i], M[r]
             if order is not None:
-                order[r], order[piv] = order[piv], order[r]
+                order[r], order[i] = order[i], order[r]
             sign = -sign
-        for i in range(r + 1, m):
-            for k in range(j + 1, cols):
-                # exact by the Sylvester determinant identity
-                M[i][k] = (M[i][k] * M[r][j] - M[i][j] * M[r][k]) // prev
-        prev = M[r][j]
+        top = M[r]
+        piv, tail = top[j], top[j + 1:]
+        for row in M[r + 1:]:
+            a = row[j]
+            # exact by the Sylvester determinant identity
+            row[j + 1:] = [(x * piv - a * t) // prev for x, t in zip(row[j + 1:], tail)]
+        prev = piv
         pivots.append(j)
         r += 1
     return r, sign * prev, pivots
@@ -426,9 +434,12 @@ def _reduce_lines(M, op, modulus: int, by_columns: bool = False) -> None:
 
 
 def _row_transform(rows, m: int) -> IntMatrix:
-    """U = G_k*...*G_1 of a row log on m rows: the log replayed forward onto
-    the identity gives U^T, whose columns are the rows of U."""
-    return _built(zip(*_replay(rows, _identity_rows(m))), m)
+    """U = G_k*...*G_1 of a row log on m rows, each operation applied in turn
+    to the rows of the identity."""
+    U = _identity_rows(m)
+    for op in rows:
+        _row_op(U, op)
+    return _built(U, m)
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
@@ -457,6 +468,35 @@ def gcd_transform(v: Sequence[int]) -> IntMatrix:
     if u.apply(v) != target:
         raise ArithmeticError(f"U = {u} does not send {v} to {target}")
     return u
+
+
+def smith_row_transform(a: IntMatrix) -> tuple[IntMatrix, Vector]:
+    """(U, (d_1, ..., d_rho)): the U and the nonzero diagonal of A's Smith form
+    U*A*V = D, U its row log replayed as in `gcd_transform`, with no V or D
+    built.  U is certified as far as a grading reads it, with no V: the map
+    x -> (row i of U*x mod d_i for each d_i > 1, rows rho, ... of U*x) is well
+    defined on Z^rows / im(A), as rows rho, ... of U*A are zero and row i is
+    divisible by d_i; it is onto, as those rows of U (mod d_i) with the
+    d_i*e_i have trivial `cokernel_invariants`; and rows - rho with the
+    d_i > 1 are `cokernel_invariants(A)`, so it is an isomorphism.  Rows with
+    d_i = 1 are not read, and |det U| = 1 is not shown: a Bareiss of U takes
+    seconds once its entries reach 10^4 bits.  ArithmeticError if a check fails."""
+    D, rows, _ = a._smith
+    d = tuple(x for x in (D[i][i] for i in range(min(a.rows, a.cols))) if x)
+    u = _row_transform(rows, a.rows)
+    ua = (u @ a).entries
+    if any(map(any, ua[len(d):])) or any(x % di for row, di in zip(ua, d) for x in row):
+        raise ArithmeticError(f"U * A = {ua} is not zero past row {len(d)} "
+                              f"and divisible by the diagonal {d} above it")
+    if cokernel_invariants(a) != (a.rows - len(d), tuple(x for x in d if x > 1)):
+        raise ArithmeticError(f"diagonal {d} is not the cokernel of {a}")
+    read = [i for i in range(a.rows) if i >= len(d) or d[i] > 1]
+    moduli = [i for i in read if i < len(d)]
+    onto = [[x % d[i] if i < len(d) else x for x in u.entries[i]]
+            + [d[i] if i == k else 0 for k in moduli] for i in read]
+    if read and cokernel_invariants(_built(onto, a.rows + len(moduli))) != (0, ()):
+        raise ArithmeticError(f"U = {u} does not map Z^{a.rows} onto the cokernel of {a}")
+    return u, d
 
 
 def _column_hermite(a: IntMatrix):

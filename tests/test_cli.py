@@ -69,15 +69,27 @@ class TestTheoremPipeline:
         assert report.hypotheses_met
         assert report.embedding == IntMatrix.from_rows([[1], [0]])
 
-    def test_takes_two_ranks(self, corpus, count_calls):
-        # one for the convex-support span, one for the embedding; rank Q is
-        # read off H's decomposition
+    def test_takes_one_rank_unless_no_maximal_cone_spans(self, corpus, count_calls):
+        # the embedding's rank alone: rank Q is read off H's decomposition,
+        # and every corpus fan has a full-dimensional maximal cone, whose rays
+        # span, so the convex-support check takes none
         calls = count_calls(IntMatrix, "rank")
+        reductions = count_calls(coxtoric.fans, "saturation_basis")
         for name, fan in corpus.items():
+            assert any(c.dim == fan.rank for c in fan.max_cones), name
             action = WeightAction(0, IntMatrix.zero(0, len(fan.rays)))
             calls["rank"] = 0
             assert theorem_pipeline(fan, action).nondegenerate, name
-            assert calls == {"rank": 2}, name
+            assert calls == {"rank": 1}, name
+        assert reductions == {"saturation_basis": 0}
+        # one ray in rank 2: the check takes the rays' rank and reduces the
+        # fan to their span, where the ray is full-dimensional
+        fan = fan_from_max_cones(2, [cone_from_rays(2, [(1, 1)])])
+        calls["rank"] = 0
+        report = theorem_pipeline(fan, WeightAction(0, IntMatrix.zero(0, 1)))
+        assert report.no_small_holes_certified is True and not report.nondegenerate
+        assert calls == {"rank": 2}
+        assert reductions == {"saturation_basis": 1}
 
     def test_projective_plane_diagonal_torus_rejected(self, corpus):
         # W = [1,1,1] lands inside the kernel subgroup: the group generated by

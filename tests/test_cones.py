@@ -12,7 +12,13 @@ from coxtoric import cones
 from coxtoric.cones import Cone, cone_from_rays
 from coxtoric.errors import InvalidRayError, ShapeError, StrongConvexityError
 from coxtoric.intlin import IntMatrix, dot, lattice_canonical_form
-from oracles import cone_contains_lp, rank_fraction_gauss
+from oracles import (
+    cone_by_subset_search,
+    cone_contains_lp,
+    facets_by_subset_search,
+    is_hermite_basis_of_the_annihilator,
+    rank_fraction_gauss,
+)
 
 
 def quadrant():
@@ -339,6 +345,69 @@ class TestSimplicialCones:
         assert cone_from_rays(rank, gens).is_simplicial()
         assert calls == {"dual_constraints": 1, "kernel_basis": 1, "kernel_generator": len(gens)}
         assert ranks == {"rank": 0}
+
+
+@st.composite
+def oracle_generating_sets(draw):
+    """(rank, generators) in rank 1 to 5: nonnegative combinations of up to
+    rank random vectors, whose cone is pointed when they are independent, or
+    combinations of any sign, whose cone often contains a line; often with a
+    repeated generator (a multiple of one) and a redundant one (a sum of two)."""
+    rank = draw(st.integers(1, 5))
+    vector = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    span = draw(st.lists(vector, min_size=1, max_size=rank))
+    coefficient = st.integers(0, 2) if draw(st.booleans()) else st.integers(-2, 2)
+    gens = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = draw(st.lists(coefficient, min_size=len(span), max_size=len(span)))
+        g = [sum(k * b[i] for k, b in zip(coeffs, span)) for i in range(rank)]
+        if any(g):
+            gens.append(g)
+    assume(gens)
+    if draw(st.booleans()):
+        gens.append([draw(st.integers(1, 3)) * x for x in draw(st.sampled_from(gens))])
+    total = [a + b for a, b in zip(gens[0], gens[-1])]
+    if draw(st.booleans()) and any(total):
+        gens.insert(draw(st.integers(0, len(gens))), total)
+    return rank, gens
+
+
+class TestSubsetSearchOracle:
+    """`tests/oracles.py` searches the (d-1)-subsets over fraction-Gauss
+    kernels, and decides pointedness and extremality by ranks, sharing no
+    code with the package."""
+
+    @given(oracle_generating_sets())
+    @settings(max_examples=150)
+    def test_dual_constraints_agree(self, case):
+        rank, gens = case
+        normals, equations = cones.dual_constraints(rank, gens)
+        assert normals == facets_by_subset_search(rank, gens)[0]
+        assert is_hermite_basis_of_the_annihilator(equations, gens, rank)
+
+    @given(oracle_generating_sets())
+    @settings(max_examples=150)
+    def test_cone_from_rays_agrees(self, case):
+        rank, gens = case
+        expected = cone_by_subset_search(rank, gens)
+        if expected is None:
+            with pytest.raises(StrongConvexityError):
+                cone_from_rays(rank, gens)
+            return
+        c = cone_from_rays(rank, gens)
+        assert (list(c.rays), list(c.facet_normals), list(c.facet_rays)) == expected
+        assert is_hermite_basis_of_the_annihilator(list(c.span_equations), gens, rank)
+
+    def test_oracle_examples(self):
+        # the quadrant with an interior generator; a line; a ray in rank 3
+        assert cone_by_subset_search(2, [(1, 0), (1, 1), (0, 2)]) == (
+            [(1, 0), (0, 1)], [(0, 1), (1, 0)], [((1, 0),), ((0, 1),)])
+        assert cone_by_subset_search(2, [(1, 0), (-2, 0)]) is None
+        assert cone_by_subset_search(3, [(0, 2, 2)]) == ([(0, 1, 1)], [(0, 1, 1)], [()])
+        assert is_hermite_basis_of_the_annihilator([(1, 0, 0), (0, 1, -1)], [(0, 1, 1)], 3)
+        # a basis of the lattice, but not its Hermite form; and a non-saturated one
+        assert not is_hermite_basis_of_the_annihilator([(1, 1, -1), (0, 1, -1)], [(0, 1, 1)], 3)
+        assert not is_hermite_basis_of_the_annihilator([(1, 0, 0), (0, 2, -2)], [(0, 1, 1)], 3)
 
 
 class TestContainsPoint:

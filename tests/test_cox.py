@@ -250,8 +250,8 @@ class TestClassGroup:
 
     def test_ray_degrees_use_one_smith_form(self, corpus, monkeypatch):
         calls = []
-        real = cox.smith_normal_form
-        monkeypatch.setattr(cox, "smith_normal_form",
+        real = cox.smith_row_transform
+        monkeypatch.setattr(cox, "smith_row_transform",
                             lambda a: calls.append(a) or real(a))
         p = cox_presentation(corpus["p112"])
         degrees = ray_degrees(p)
@@ -264,21 +264,26 @@ class TestClassGroup:
         path = tmp_path / "p112.json"
         path.write_text(json.dumps(fan_to_dict(corpus["p112"])))
         qt = cox_presentation(corpus["p112"]).q_matrix.transpose()
-        calls = []
+        calls, transforms = [], []
         for module in (intlin, cox):
-            monkeypatch.setattr(module, "smith_normal_form",
-                                lambda a, real=module.smith_normal_form: calls.append(a) or real(a))
+            monkeypatch.setattr(module, "smith_row_transform",
+                                lambda a, real=module.smith_row_transform: calls.append(a) or real(a))
+        monkeypatch.setattr(intlin, "smith_normal_form",
+                            lambda a, real=intlin.smith_normal_form: transforms.append(a) or real(a))
         assert cli.main(["classgroup", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["free"] == 1
-        # class group and ray degrees read the same Smith form
-        assert calls.count(qt) == 1
+        # class group and ray degrees read the same Smith form, whose V is not built
+        assert calls == [qt]
+        assert transforms == []
 
     def test_class_group_and_subgroup_decomposition_take_one_elimination(
             self, corpus, count_calls, monkeypatch):
         # the grading Smith form is taken of H's relation matrix, the one Q^T
         # instance of the presentation, and class group and ray degrees read
         # it; H's decomposition reads Q^T's invariant factors off its Bareiss
-        # record, whose pivot minor 1 leaves nothing to eliminate
+        # record, whose pivot minor 1 leaves nothing to eliminate; the second
+        # Bareiss is of the one row of U that the grading reads, which the
+        # grading's certificate shows to map onto Z
         p = cox_presentation(corpus["p112"])
         qt = p.kernel_group.relations
         seen = []
@@ -290,7 +295,7 @@ class TestClassGroup:
         assert len(ray_degrees(p)) == 3
         assert presentation_summary(p)[2] == {"free": 1, "torsion": []}
         assert [(a is qt, modulus) for a, modulus in seen] == [(True, 0)]
-        assert ranks == {"_bareiss": 1}
+        assert ranks == {"_bareiss": 2}
 
     def test_bad_element_arguments_raise_shape_error(self):
         with pytest.raises(ShapeError, match="2 torsion residues for 1 moduli"):

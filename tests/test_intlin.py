@@ -25,6 +25,7 @@ from coxtoric.intlin import (
     primitive_vector,
     saturation_basis,
     smith_normal_form,
+    smith_row_transform,
     solve_integer,
     solve_scaled,
 )
@@ -525,6 +526,15 @@ class TestPrimitiveVector:
     def test_zero_rejected(self):
         with pytest.raises(InvalidRayError):
             primitive_vector((0, 0, 0))
+
+    def test_primitive_int_tuple_comes_back_as_it_is(self):
+        v = (6, -10, 15)
+        assert primitive_vector(v) is v
+        # anything else is rebuilt as a tuple of plain ints
+        for w in ([6, -10, 15], (True, False, True), (True, 2)):
+            p = primitive_vector(w)
+            assert type(p) is tuple and all(type(x) is int for x in p), w
+        assert primitive_vector((True, False)) == (1, 0)
 
     @given(st.lists(st.integers(-30, 30), min_size=1, max_size=6),
            st.integers(1, 5))
@@ -1036,3 +1046,41 @@ class TestGcdTransform:
         monkeypatch.setattr(intlin, "_smith_elimination", swapped)
         with pytest.raises(ArithmeticError, match="does not send"):
             gcd_transform((2, 3))
+
+
+class TestSmithRowTransform:
+    @given(degenerate_matrices())
+    @settings(max_examples=150)
+    def test_is_the_u_of_the_smith_form_with_the_minors_diagonal(self, a):
+        u, d = smith_row_transform(a)
+        assert u == smith_normal_form(a).U
+        assert list(d) == invariant_factors_by_minors([list(r) for r in a.entries])
+
+    def test_builds_no_v(self, monkeypatch):
+        calls = []
+        real = intlin._replay
+        monkeypatch.setattr(intlin, "_replay", lambda *args: calls.append(args) or real(*args))
+        assert smith_row_transform(M([[2, 4], [6, 8], [1, 1]]))[1] == (1, 2)
+        assert calls == []
+
+    @pytest.mark.parametrize("rows, plant, match", [
+        # row 1 of U*A lands past the rank
+        ([[1, 0], [0, 2], [0, 0]], lambda u: [u[0], u[2], u[1]], "not zero past row 2"),
+        # the one row read, doubled: Z/2 is no longer reached
+        ([[2]], lambda u: [[2 * x for x in u[0]]], "does not map"),
+        # the free row, doubled: Z is no longer reached
+        ([[1], [1]], lambda u: [u[0], [2 * x for x in u[1]]], "does not map"),
+    ], ids=["past-the-rank", "torsion-row", "free-row"])
+    def test_planted_wrong_u_raises(self, rows, plant, match, monkeypatch):
+        real = intlin._row_transform
+        monkeypatch.setattr(intlin, "_row_transform",
+                            lambda log, m: M(plant([list(r) for r in real(log, m).entries])))
+        with pytest.raises(ArithmeticError, match=match):
+            smith_row_transform(M(rows))
+
+    def test_planted_wrong_diagonal_raises(self):
+        a = M([[1, 0], [0, 2]])
+        D, rows, cols = a._smith
+        a.__dict__["_smith"] = (((1, 0), (0, 4)), rows, cols)
+        with pytest.raises(ArithmeticError, match="not zero past row 2 and divisible"):
+            smith_row_transform(a)

@@ -136,6 +136,18 @@ def test_bench_pairs_bound_is_a_fraction_of_the_parent_median():
     assert metrics["latency_p50_ms"]["claim_met"] is True
 
 
+def test_bench_pairs_keeps_the_fields_of_the_progress_line():
+    # the line as perfbench/run.py prints it for a --trace 0 run
+    lines = ["passes 10.28 over 108 ops; every op as timed, unscaled: 1.275e+03 ops/s; kernel "
+             "median 0.5123 ms over 412 probes; scaled set-ups 0.0531 0.0502 0.0499 0.0512 "
+             "0.0620 0.0507 0.0498 s",
+             "outputs_sha256 pipeline_ladder seed=1 ops=108 abc", "{}"]
+    assert load_bench_pairs().progress(lines) == {
+        "passes": 10.28, "pool_ops": 108, "unscaled_ops_per_s": 1275.0, "kernel_median_ms": 0.5123,
+        "probes": 412, "scaled_setups_s": [0.0531, 0.0502, 0.0499, 0.0512, 0.062, 0.0507, 0.0498]}
+    assert load_bench_pairs().progress(lines[1:]) is None
+
+
 FAKE_RUN = """
 import os, shutil, tempfile, time
 
