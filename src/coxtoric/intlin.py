@@ -208,11 +208,12 @@ def _bareiss(M: list[list[int]], cols: int, order: list | None = None) -> tuple[
                 order[r], order[i] = order[i], order[r]
             sign = -sign
         top = M[r]
-        piv, tail = top[j], top[j + 1:]
+        piv = top[j]
         for row in M[r + 1:]:
             a = row[j]
-            # exact by the Sylvester determinant identity
-            row[j + 1:] = [(x * piv - a * t) // prev for x, t in zip(row[j + 1:], tail)]
+            for k in range(j + 1, cols):
+                # exact by the Sylvester determinant identity
+                row[k] = (row[k] * piv - a * top[k]) // prev
         prev = piv
         pivots.append(j)
         r += 1
@@ -434,12 +435,9 @@ def _reduce_lines(M, op, modulus: int, by_columns: bool = False) -> None:
 
 
 def _row_transform(rows, m: int) -> IntMatrix:
-    """U = G_k*...*G_1 of a row log on m rows, each operation applied in turn
-    to the rows of the identity."""
-    U = _identity_rows(m)
-    for op in rows:
-        _row_op(U, op)
-    return _built(U, m)
+    """U = G_k*...*G_1 of a row log on m rows: the log replayed forward onto
+    the identity gives U^T, whose columns are the rows of U."""
+    return _built(zip(*_replay(rows, _identity_rows(m))), m)
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:

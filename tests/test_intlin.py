@@ -1057,11 +1057,14 @@ class TestSmithRowTransform:
         assert list(d) == invariant_factors_by_minors([list(r) for r in a.entries])
 
     def test_builds_no_v(self, monkeypatch):
+        # one replay, of the row log onto the 3 x 3 identity; none of the column log
         calls = []
         real = intlin._replay
-        monkeypatch.setattr(intlin, "_replay", lambda *args: calls.append(args) or real(*args))
-        assert smith_row_transform(M([[2, 4], [6, 8], [1, 1]]))[1] == (1, 2)
-        assert calls == []
+        monkeypatch.setattr(intlin, "_replay", lambda log, rows, how="":
+                            calls.append((log, len(rows))) or real(log, rows, how))
+        a = M([[2, 4], [6, 8], [1, 1]])
+        assert smith_row_transform(a)[1] == (1, 2)
+        assert calls == [(a._smith[1], 3)]
 
     @pytest.mark.parametrize("rows, plant, match", [
         # row 1 of U*A lands past the rank
