@@ -484,8 +484,8 @@ def smith_row_transform(a: IntMatrix) -> tuple[IntMatrix, Vector]:
     u = _row_transform(rows, a.rows)
     ua = (u @ a).entries
     if any(map(any, ua[len(d):])) or any(x % di for row, di in zip(ua, d) for x in row):
-        raise ArithmeticError(f"U * A = {ua} is not zero past row {len(d)} "
-                              f"and divisible by the diagonal {d} above it")
+        raise ArithmeticError(f"U * A is not zero past row {len(d)} and divisible by "
+                              f"the diagonal {d} above it, for A = {a}")
     if cokernel_invariants(a) != (a.rows - len(d), tuple(x for x in d if x > 1)):
         raise ArithmeticError(f"diagonal {d} is not the cokernel of {a}")
     read = [i for i in range(a.rows) if i >= len(d) or d[i] > 1]
@@ -493,7 +493,7 @@ def smith_row_transform(a: IntMatrix) -> tuple[IntMatrix, Vector]:
     onto = [[x % d[i] if i < len(d) else x for x in u.entries[i]]
             + [d[i] if i == k else 0 for k in moduli] for i in read]
     if read and cokernel_invariants(_built(onto, a.rows + len(moduli))) != (0, ()):
-        raise ArithmeticError(f"U = {u} does not map Z^{a.rows} onto the cokernel of {a}")
+        raise ArithmeticError(f"U does not map Z^{a.rows} onto the cokernel of {a}")
     return u, d
 
 
