@@ -12,13 +12,14 @@ with S taken in turn from 1, 2, 3 and T the `run_seconds` of BENCHMARK.json,
 the same on both sides.  One side of a pair runs in a copy of
 revision REV, extracted with `git archive` into a temporary directory, the
 other in the working tree; the side that runs first alternates from pair to
-pair.  Each side imports from its own fresh bytecode: its runs get their own
-PYTHONPYCACHEPREFIX, warmed by one untimed import of the benchmark and the
-package, so that `setup_s` does not time the compilation of stale `.py`
-files.  The output file holds every run's final JSON line, its
-`outputs_sha256` line and the fields of its progress line (passes over the
-pool, unscaled ops/s, the reference kernel's median and the scaled set-up
-times, so that host drift can be told from program cost); the git
+pair.  Every run compiles the source it imports, as a fresh checkout does:
+it gets PYTHONDONTWRITEBYTECODE=1 and a PYTHONPYCACHEPREFIX of its own,
+empty, so that no bytecode, stale or warm, is read and `setup_s` times the
+compilation of the package.  The output file holds every run's final JSON
+line, its `outputs_sha256` line and the fields of its progress line
+(passes over the pool, unscaled ops/s, the reference kernel's median and
+the scaled set-up times, so that host drift can be told from program
+cost); the git
 revisions, the Python version and the machine; and per workload and
 end-to-end metric the medians and quartiles of each side, the number of
 pairs the change won, whether the change stayed inside the metric's bound
@@ -49,8 +50,6 @@ GRACE = 10
 PROGRESS = re.compile(r"passes (?P<passes>\S+) over (?P<ops>\d+) ops; every op as timed, "
                       r"unscaled: (?P<unscaled>\S+) ops/s; kernel median (?P<kernel>\S+) ms "
                       r"over (?P<probes>\d+) probes; scaled set-ups (?P<setups>[\d. ]*) s")
-WARM = ("import os, sys; sys.path[:0] = [os.path.abspath('perfbench'), os.path.abspath('src')]; "
-        "import run; run.load_package()")
 
 
 def git(*args):
@@ -201,20 +200,15 @@ def main(argv=None):
             else:
                 tar.extractall(parent_root)
         sides = {"parent": parent_root, "change": ROOT}
-        envs = {}
-        for side, root in sides.items():
-            env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-            env["PYTHONPYCACHEPREFIX"] = str(Path(tmp) / f"pycache-{side}")
-            subprocess.run([sys.executable, "-c", WARM], cwd=root, env=env, check=True,
-                           capture_output=True)
-            envs[side] = env
         pair = 0
         for workload, count in plan:
             for k in range(count):
                 seed = SEEDS[k % len(SEEDS)]
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for position, side in enumerate(order):
-                    run = run_side(sides[side], envs[side], workload, seed, seconds)
+                    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+                           "PYTHONPYCACHEPREFIX": tempfile.mkdtemp(prefix="pycache-", dir=tmp)}
+                    run = run_side(sides[side], env, workload, seed, seconds)
                     report["runs"].append({"pair": pair, "side": side, "first": position == 0,
                                            "workload": workload, "seed": seed, **run})
                     print(f"pair {pair} {workload} seed {seed} {side}: ops_per_s "

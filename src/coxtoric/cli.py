@@ -8,6 +8,9 @@ weight actions are {"rank": r, "weights": [[..], ..]} with an optional
 string "p/q" or an integer.
 Each handler returns its payload; `main` writes it, as text or with --json,
 and picks the exit code: 0 success, 1 unmet hypothesis, 2 malformed input.
+A well-formed request is parsed by its subcommand's parser alone; any other
+goes to the full parser, so usage, help and errors are a fresh parser's.
+The --json bytes are `json.dumps(payload, indent=2, sort_keys=True)`'s.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import cox as cox_mod
 from .errors import HypothesisError, ToricError
@@ -46,7 +50,10 @@ def _load_json(path: str):
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=parse_int)
+            text = fh.read()
+        # a literal past the cap takes more than 4300 characters: a shorter
+        # text needs no hook
+        return json.loads(text) if len(text) <= 4300 else json.loads(text, parse_int=parse_int)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
@@ -116,9 +123,35 @@ def _matrix_rows(m: IntMatrix) -> list[list[int]]:
     return [list(row) for row in m.entries]
 
 
+def _json(v, newline: str = "\n") -> str:
+    """`json.dumps(v, indent=2, sort_keys=True)`, byte for byte, where
+    `newline` starts each line at v's depth.  Dicts with str keys, lists,
+    tuples, str, int, bool and None are written here; any other value, and
+    its TypeError, is json.dumps's, indented to that depth."""
+    if type(v) is int:
+        return int.__repr__(v)
+    if type(v) is str:
+        return encode_basestring_ascii(v)
+    if v is None or type(v) is bool:
+        return "null" if v is None else "true" if v else "false"
+    inner = newline + "  "
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(x, inner) for x in v]) + newline + "]"
+    if isinstance(v, dict) and all(type(k) is str for k in v):
+        if not v:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json(v[k], inner) for k in sorted(v)])
+            + newline + "}")
+    # ensure_ascii escapes every newline inside a string, so each "\n" is a line break
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", newline)
+
+
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json(payload) + "\n")
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -245,7 +278,8 @@ _SUBCOMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser with every subcommand."""
+    """A new parser with every subcommand; its `subcommands` maps each name
+    to that subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="coxtoric",
         description="Exact quotient presentations of toric varieties from fan data")
@@ -257,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         if option:
             p.add_argument(option[0], required=True, help=option[1])
         p.set_defaults(func=func)
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -265,7 +300,13 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    sub = _PARSER.subcommands.get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub is not None else (None, None)
+    if sub is None or rest:
+        # no subcommand, or arguments its parser leaves over: the full parser
+        # writes the usage and error it always has
+        args = _PARSER.parse_args(argv)
     # derived integers are written exactly, however long: lift the cap that
     # Python 3.10.7+ puts on int <-> str conversion (0 = none) for this request
     previous_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

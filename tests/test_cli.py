@@ -13,11 +13,12 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from fractions import Fraction
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coxtoric
-from coxtoric.cli import build_parser, main
+from coxtoric.cli import InputError, _emit, _json, _load_json, build_parser, main
 from coxtoric.cones import cone_from_rays
 from coxtoric.corpus import affine_space, corpus_fans
 from coxtoric.fans import MAX_RAYLESS_RANK, fan_from_max_cones, fan_to_dict
@@ -435,6 +436,35 @@ class TestCliCommands:
         w = write(tmp_path, "w.json", '{"rank": 1, "weights": [[' + "7" * 4300 + ', 0]]}')
         assert main(["pipeline", fan_files["a2"], "--weights", w, "--json"]) == 1
 
+    @pytest.mark.parametrize("text", ["7" * 4301, '{"rank": 1, "weights": [[-' + "7" * 4301 + "]]}"],
+                             ids=["bare", "in-weights"])
+    def test_a_4301_digit_literal_just_past_4300_characters_exits_2(
+            self, text, fan_files, tmp_path, capsys):
+        w = write(tmp_path, "w.json", text)
+        assert 4300 < len(text) <= 4330
+        assert main(["pipeline", fan_files["a2"], "--weights", w]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {w}: an integer has 4301 digits, more than 4300\n")
+
+    @given(doc=st.recursive(
+        st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=5)
+        | st.integers(-10 ** 60, 10 ** 60),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=3), children, max_size=4), max_leaves=8),
+        length=st.integers(1, 4300), wrapper=st.sampled_from(["{}", "-{}", '{{"rank": [-{}]}}']))
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_file_of_at_most_4300_characters_reads_as_json_load_reads_it(
+            self, tmp_path, doc, length, wrapper):
+        # a document, and an integer literal that fills its text to `length`
+        # characters, up to 4300 digits
+        digits = max(1, length - len(wrapper.format("")))
+        for text in (json.dumps(doc), wrapper.format("9" * digits)):
+            assert len(text) <= 4300
+            path = write(tmp_path, "doc.json", text)
+            with open(path, encoding="utf-8") as fh:
+                expected = json.load(fh)
+            assert _load_json(path) == expected
+
     @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
     def test_pipeline_success_and_failure_exit_codes(self, as_json, fan_files, tmp_path, capsys):
         # a failing report is still written in full, in either format
@@ -629,6 +659,55 @@ class TestDeterminism:
             assert capsys.readouterr().out == first
 
 
+# str keys and leaves with quotes, backslashes, control characters and
+# non-ASCII text, ints past the 4300-digit str cap, and a float or a dict
+# with int keys, which the writer leaves to json.dumps
+writer_strings = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€😀\u2028') | st.characters(),
+                         max_size=6)
+writer_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | writer_strings | st.floats()
+    | st.integers(10 ** 4300, 10 ** 4400) | st.integers(-10 ** 4400, -10 ** 4300),
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(writer_strings, children, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), children, max_size=2),
+    max_leaves=16)
+
+
+class TestJsonWriter:
+    """--json writes the bytes of json.dumps(payload, indent=2, sort_keys=True)."""
+
+    @given(writer_payloads)
+    @settings(max_examples=300)
+    def test_writes_what_json_dumps_writes(self, payload):
+        # with the cap on int <-> str conversion lifted, as main does
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                _emit(payload, True)
+            assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("payload", [
+        0.0, -1.5, float("inf"), [0.0], {"a": [1, {"b": 0.0}]}, {2: "x", 1: [True]},
+        {"a": [{1: {"b": [0.5]}, 0: []}], "c": {}}, {"t": {True: 1, False: [None]}}, (), [[], {}],
+        {"q": ("x", None)}])
+    def test_floats_and_int_keys_are_json_dumps_output(self, payload):
+        assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("payload", [Fraction(1, 2), {"a": [1, Fraction(1, 3)]}, {"a": 1, 1: 2}])
+    def test_a_fraction_or_mixed_keys_raise_json_dumps_type_error(self, payload):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as raised:
+            _json(payload)
+        assert str(raised.value) == str(expected.value)
+
+
 def exit_and_streams(run, argv):
     """(exit code, stdout, stderr) of `run(argv)`, an exit by SystemExit
     included."""
@@ -647,7 +726,8 @@ SUBCOMMAND_NAMES = ["validate", "properties", "cox", "classgroup", "lift", "diag
 
 class TestParser:
     """One parser, with every subcommand, is built when `coxtoric.cli` is
-    imported and parses every request; what it prints and how it exits are
+    imported.  A well-formed request is parsed by its subcommand's parser
+    alone, any other by the full parser; what it prints and how it exits are
     those of a freshly built parser, however many requests it has parsed."""
 
     @pytest.mark.parametrize("argv", [[name, flag] for name in SUBCOMMAND_NAMES
@@ -658,10 +738,36 @@ class TestParser:
         assert [exit_and_streams(main, argv) for _ in range(2)] == [expected] * 2
 
     @pytest.mark.parametrize("argv", [[], ["--help"], ["--json"], ["bogus"], ["co", "x"],
-                                      ["cox", "x", "y"], ["lift", "x"], ["-h", "cox"]])
+                                      ["cox", "x", "y"], ["lift", "x"], ["-h", "cox"],
+                                      ["cox", "x", "--no-such-flag"], ["pipeline", "x", "--weights"],
+                                      ["--json", "cox", "x"], ["cox", "--", "x", "--json"], ["snf"]])
     def test_other_requests_match_the_full_parser(self, argv):
         expected = exit_and_streams(lambda a: build_parser().parse_args(a), argv)
         assert [exit_and_streams(main, argv) for _ in range(2)] == [expected] * 2
+
+    def test_well_formed_requests_skip_the_full_parser(self, fan_files, tmp_path, monkeypatch):
+        w = write(tmp_path, "w.json", {"rank": 1, "weights": [[1, 0, 0]]})
+        requests = [
+            ["validate", fan_files["p2"]], ["properties", fan_files["p2"], "--json"],
+            ["cox", "--json", fan_files["p2"]], ["classgroup", fan_files["p112"]],
+            ["lift", fan_files["quadric_cone"], "--iota", write(tmp_path, "i.json", [[0], [1]])],
+            ["diag", write(tmp_path, "d.json", {"rank": 1, "weights": [[1, -1]]}), "--json"],
+            ["pipeline", "--weights", w, fan_files["bl0_a2"], "--json"],
+            ["snf", write(tmp_path, "m.json", [[2, 4], [6, 8]])]]
+        assert sorted(argv[0] for argv in requests) == sorted(SUBCOMMAND_NAMES)
+        expected = [exit_and_streams(main, argv) for argv in requests]
+        assert all(code == 0 for code, _, _ in expected)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the full parser parsed a well-formed request")
+
+        monkeypatch.setattr(coxtoric.cli._PARSER, "parse_args", refuse)
+        assert [exit_and_streams(main, argv) for argv in requests] == expected
+
+    def test_double_dash_before_the_file_answers_as_without_it(self, fan_files):
+        plain = exit_and_streams(main, ["cox", fan_files["p2"]])
+        assert plain[0] == 0
+        assert exit_and_streams(main, ["cox", "--", fan_files["p2"]]) == plain
 
     def test_the_parser_is_built_once_per_process(self, fan_files, monkeypatch):
         built = []

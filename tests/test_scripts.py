@@ -151,9 +151,6 @@ def test_bench_pairs_keeps_the_fields_of_the_progress_line():
 FAKE_RUN = """
 import os, shutil, tempfile, time
 
-def load_package():
-    pass
-
 if __name__ == "__main__":
     work = tempfile.mkdtemp(prefix=".work-", dir=os.path.dirname(os.path.abspath(__file__)))
     try:
@@ -173,19 +170,58 @@ def alive(pid):
     return True
 
 
-def test_bench_pairs_stops_its_run_on_sigterm(tmp_path):
-    # a checkout whose perfbench/run.py records its pid and work directory,
-    # then sleeps until interrupted; SIGTERM bench_pairs.py while the run sleeps
+def fake_checkout(tmp_path, run_source):
+    """A git checkout holding bench_pairs.py, a one-metric BENCHMARK.json
+    and `run_source` as perfbench/run.py."""
     checkout = tmp_path / "checkout"
     (checkout / "scripts").mkdir(parents=True)
     (checkout / "perfbench").mkdir()
     shutil.copy(ROOT / "scripts" / "bench_pairs.py", checkout / "scripts")
-    (checkout / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (checkout / "perfbench" / "run.py").write_text(run_source)
     (checkout / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 1, "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}))
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
     for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "fake checkout"]):
         subprocess.run(git + args, cwd=checkout, check=True, capture_output=True)
+    return checkout
+
+
+# records, for each start, how it may read and write bytecode, then prints
+# what a finished run prints
+RECORDING_RUN = """
+import json, os, sys
+prefix = os.environ["PYTHONPYCACHEPREFIX"]
+with open(os.environ["FAKE_RUN_LOG"], "a") as log:
+    log.write(json.dumps([os.environ.get("PYTHONDONTWRITEBYTECODE"), sys.flags.dont_write_bytecode,
+                          prefix, os.path.isdir(prefix) and not os.listdir(prefix)]) + "\\n")
+print("outputs_sha256 w seed=1 ops=1 d")
+print(json.dumps({"failed": 0, "metrics": {"ops_per_s": {"value": 1.0}}}))
+"""
+
+
+def test_bench_pairs_runs_compile_the_source_they_import(tmp_path):
+    # the driver's runs read no bytecode: neither may these, whatever the
+    # environment of bench_pairs.py, and no untimed run warms any
+    checkout = fake_checkout(tmp_path, RECORDING_RUN)
+    log = tmp_path / "runs.txt"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["FAKE_RUN_LOG"] = str(log)
+    result = subprocess.run([sys.executable, "scripts/bench_pairs.py", "--parent", "HEAD",
+                             "--out", str(tmp_path / "out.json"), "w:2"],
+                            cwd=checkout, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    runs = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(runs) == 4
+    assert all(flag == "1" and dont_write and empty for flag, dont_write, _, empty in runs)
+    prefixes = {prefix for _, _, prefix, _ in runs}
+    assert len(prefixes) == 4
+    assert not any(pathlib.Path(prefix).exists() for prefix in prefixes)
+
+
+def test_bench_pairs_stops_its_run_on_sigterm(tmp_path):
+    # a checkout whose perfbench/run.py records its pid and work directory,
+    # then sleeps until interrupted; SIGTERM bench_pairs.py while the run sleeps
+    checkout = fake_checkout(tmp_path, FAKE_RUN)
     temp, log = tmp_path / "tmp", tmp_path / "runs.txt"
     temp.mkdir()
     env = {**os.environ, "TMPDIR": str(temp), "FAKE_RUN_LOG": str(log)}
