@@ -10,10 +10,10 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
