@@ -200,7 +200,7 @@ print(json.dumps({"failed": 0, "metrics": {"ops_per_s": {"value": 1.0}}}))
 
 
 def test_bench_pairs_runs_compile_the_source_they_import(tmp_path):
-    # the driver's runs read no bytecode: neither may these, whatever the
+    # a fresh checkout holds no bytecode: no run may read any, whatever the
     # environment of bench_pairs.py, and no untimed run warms any
     checkout = fake_checkout(tmp_path, RECORDING_RUN)
     log = tmp_path / "runs.txt"
