@@ -9,9 +9,12 @@ Usage (from the root of a checkout):
 Each WORKLOAD:PAIRS argument asks for that many pairs of
 `perfbench/run.py --workload WORKLOAD --seed S --seconds T --trace 0` runs,
 with S taken in turn from 1, 2, 3 and T the `run_seconds` of BENCHMARK.json,
-the same on both sides.  One side of a pair runs in a copy of
-revision REV, extracted with `git archive` into a temporary directory, the
-other in the working tree; the side that runs first alternates from pair to
+the same on both sides.  Neither side runs in the working tree: the parent
+side runs in a copy of revision REV and the change side in a copy of HEAD, or
+of the commit that `git stash create` makes of the tracked files when they
+hold uncommitted changes (untracked files are left out).  Both are extracted
+with `git archive` into sibling directories of one temporary directory, with
+paths of equal length.  The side that runs first alternates from pair to
 pair.  Every run compiles the source it imports, as a fresh checkout does:
 it gets PYTHONDONTWRITEBYTECODE=1 and a PYTHONPYCACHEPREFIX of its own,
 empty, so that no bytecode, stale or warm, is read and `setup_s` times the
@@ -160,6 +163,18 @@ def run_side(root, env, workload, seed, seconds):
     return {"outputs_sha256": digest, "progress": progress(lines), "result": json.loads(lines[-1])}
 
 
+def extract(revision, root):
+    """Extract `git archive` of the revision into the new directory `root`."""
+    root.mkdir()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", revision))) as tar:
+        # the "data" filter where this Python has it, so that extraction
+        # does not depend on the version's default
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(root, filter="data")
+        else:
+            tar.extractall(root)
+
+
 def terminated(signum, frame):
     raise SystemExit(128 + signum)
 
@@ -178,28 +193,25 @@ def main(argv=None):
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    head = git("rev-parse", "HEAD").decode().strip()
+    # with a clean tracked tree `git stash create` prints nothing
+    change = git("stash", "create").decode().strip() or head
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0",
         "parent_revision": git("rev-parse", args.parent).decode().strip(),
-        "change_revision": git("rev-parse", "HEAD").decode().strip()
-                           + (" with uncommitted changes" if dirty else ""),
+        "change_revision": change,
         "python": platform.python_version(),
         "machine": machine(),
         "runs": [],
     }
+    if change != head:
+        report["change_base_revision"] = head
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_root = Path(tmp) / "parent"
-        parent_root.mkdir()
-        with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", args.parent))) as tar:
-            # the "data" filter where this Python has it, so that extraction
-            # does not depend on the version's default
-            if hasattr(tarfile, "data_filter"):
-                tar.extractall(parent_root, filter="data")
-            else:
-                tar.extractall(parent_root)
-        sides = {"parent": parent_root, "change": ROOT}
+        # "parent" and "change" have the same length, so the two paths do
+        sides = {side: Path(tmp) / side for side in ("parent", "change")}
+        extract(report["parent_revision"], sides["parent"])
+        extract(change, sides["change"])
         pair = 0
         for workload, count in plan:
             for k in range(count):

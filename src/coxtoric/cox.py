@@ -15,7 +15,6 @@ to lift subtori through the quotient are computed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -26,6 +25,7 @@ from .intlin import (
     IntMatrix,
     Vector,
     cokernel_invariants,
+    instance_memo,
     smith_row_transform,
     solve_scaled,
 )
@@ -75,7 +75,7 @@ class CoxPresentation:
     def num_coordinates(self) -> int:
         return self.q_matrix.cols
 
-    @cached_property
+    @instance_memo
     def _grading(self) -> tuple[IntMatrix, Vector]:
         """U and the nonzero diagonal (d_1, ..., d_rho) of the Smith form
         U * Q^T * V = D, taken once per presentation, with no V; U maps

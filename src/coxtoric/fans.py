@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .cones import Cone, cone_from_rays, dual_constraints
 from .errors import FanValidationError, ShapeError, UnsupportedShapeError
-from .intlin import IntMatrix, Vector, dot, primitive_vector, saturation_basis, solve_scaled
+from .intlin import (IntMatrix, Vector, dot, instance_memo, primitive_vector, saturation_basis,
+                     solve_scaled)
 
 # Largest rank of a fan file with no rays, the one size its length does not bound
 MAX_RAYLESS_RANK = 200
@@ -60,7 +60,7 @@ class Fan:
     def __repr__(self):
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
-    @cached_property
+    @instance_memo
     def all_cones(self) -> tuple[tuple[int, ...], ...]:
         """Every cone of the fan as its sorted tuple of ray indices, each
         once, in the order of the maximal cones and of their faces; built on
@@ -74,7 +74,7 @@ class Fan:
         cones, or the zero cone alone when there are none."""
         return self.max_cones or (cone_from_rays(self.rank, ()),)
 
-    @cached_property
+    @instance_memo
     def _ray_positions(self) -> dict[Vector, int]:
         return {r: i for i, r in enumerate(self.rays)}
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import index, mul
 from typing import Sequence
@@ -25,16 +24,17 @@ from .intlin import (
     Vector,
     cokernel_invariants,
     gcd_transform,
+    instance_memo,
     kernel_basis,
     lattice_canonical_form,
     lattice_membership,
     primitive_vector,
 )
 
-# A scalar string: "p" or "p/q" of ASCII digits, p optionally signed.  Fraction's
-# parser also takes "1e-4000000", spaces and "_"; `cli.main` lifts Python's
-# 4300-digit int <-> str cap, so this bound is what keeps int() cheap.
-_SCALAR = re.compile(r"[+-]?[0-9]{1,4300}(/[0-9]{1,4300})?")
+# A scalar string: "p" or "p/q" of ASCII digits, p optionally signed; groups 1
+# and 2 are p and q.  Fraction's parser also takes "1e-4000000", spaces and "_";
+# `cli.main` lifts Python's 4300-digit int <-> str cap, so this keeps int() cheap.
+_SCALAR = re.compile(r"([+-]?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class DiagonalizableSubgroup:
     def dimension(self) -> int:
         return self.ambient - self.canonical_relations.cols
 
-    @cached_property
+    @instance_memo
     def canonical_relations(self) -> IntMatrix:
         """Canonical basis of the relation lattice, taken once per subgroup."""
         return lattice_canonical_form(self.relations)
@@ -80,8 +80,9 @@ class MonomialMatrix:
     Coordinate hyperplane V(z_i) is sent to V(z_{perm[i]}); scalars[i] is the
     exponent of the root of unity scaling output coordinate i, an element of
     Q/Z stored as a Fraction in [0, 1).  Each is an int, a Fraction or a
-    string "p/q" or "p" (`_SCALAR`); another string raises ValueError, a zero
-    denominator ZeroDivisionError, and another type, such as float, TypeError.
+    `str` "p/q" or "p", read by one `_SCALAR` match into one Fraction(p mod q,
+    q); another string raises ValueError, a zero denominator ZeroDivisionError
+    as Fraction(p, 0) does, and another type, such as float, TypeError.
     """
 
     perm: tuple[int, ...]
@@ -101,11 +102,13 @@ class MonomialMatrix:
         scalars = []
         for s in self.scalars:
             if isinstance(s, str):
-                if not _SCALAR.fullmatch(s):
+                found = _SCALAR.fullmatch(s)
+                if not found:
                     raise ValueError(f"scalar exponent {s!r} is not of the form p/q")
-                p, _, q = s.partition("/")
-                s = Fraction(int(p), int(q or 1))
-            elif not isinstance(s, Fraction):
+                p, q = int(found[1]), int(found[2] or 1)
+                scalars.append(Fraction(p % q if q else p, q))
+                continue
+            if not isinstance(s, Fraction):
                 s = Fraction(index(s))
             n, d = s.numerator, s.denominator
             scalars.append(s if 0 <= n < d else Fraction(n % d, d))
@@ -210,13 +213,18 @@ def centralizes_torus(g: MonomialMatrix, group: DiagonalizableSubgroup) -> bool:
     Elementwise commutation forces t_{perm(i)} = t_i for every group element
     t, i.e. every comparison character e_i - e_{perm(i)} must vanish on the
     subgroup, which happens exactly when it lies in the relation lattice.
-    Each test is one back-substitution against the Hermite form of
-    `relations`, the one that `canonical_relations` reads, taken once.
+    Z*a holds it iff a = +-(e_i - e_{perm(i)}), as k*a = e_i - e_{perm(i)} forces
+    k = +-1; a larger lattice back-substitutes it against `relations`' Hermite form.
     """
     if g.size != group.ambient:
         raise ShapeError("monomial matrix size does not match ambient rank")
+    moved = [(i, pi) for i, pi in enumerate(g.perm) if pi != i]
+    canonical = group.canonical_relations
+    if canonical.cols == 1:
+        a = [x for (x,) in canonical.entries]
+        return all(a[i] in (1, -1) and a[pi] == -a[i] and sum(map(abs, a)) == 2 for i, pi in moved)
     return all(lattice_membership(group.relations, [(k == i) - (k == pi) for k in range(g.size)])
-               for i, pi in enumerate(g.perm) if pi != i)
+               for i, pi in moved)
 
 
 def hyperplane_permutation_report(g: MonomialMatrix, exponents: Sequence[int]) -> HyperplanePermutationReport:

@@ -8,15 +8,15 @@ to membership-style predicates elsewhere.
 
 One Smith elimination, one column Hermite elimination and one Bareiss per
 `IntMatrix` instance serve every caller: each is taken on first request
-and kept on the instance, frozen into tuples; two equal matrices built
-separately eliminate separately.  The Bareiss record (rank, signed last
-pivot, pivot columns, rows, pivot rows) gives the rank, `kernel_minors` and
-the modulus of `cokernel_invariants`, whose Smith elimination modulo that
-pivot minor is taken on every call and builds no transform.  An
-elimination logs its operations; a transform is the log replayed onto just
-what the caller reads.  Membership, divisibility index, integer solving and
-inversion are one back-substitution per right-hand side against one column
-Hermite form.
+and kept in its `__dict__`, frozen into tuples, by the lock-free
+`instance_memo`; two equal matrices built separately eliminate separately.
+The Bareiss record (rank, signed last pivot, pivot columns, rows, pivot
+rows) gives the rank, `kernel_minors` and the modulus of
+`cokernel_invariants`, whose Smith elimination modulo that pivot minor is
+taken on every call and builds no transform.  An elimination logs its
+operations; a transform is the log replayed onto just what the caller
+reads.  Membership, divisibility index, integer solving and inversion are
+one back-substitution per right-hand side against one column Hermite form.
 Results are certified by explicit checks that raise ArithmeticError:
 `smith_normal_form` checks U*A*V = D, `gcd_transform` U*v = (gcd(v), 0, ..., 0)
 (all of U*A*V = D for one column), `smith_row_transform` that U induces an
@@ -36,7 +36,6 @@ elimination was kept or taken anew.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm, prod
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -62,6 +61,20 @@ def primitive_vector(v: Sequence[int]) -> Vector:
     if g == 1 and type(v) is tuple and {*map(type, v)} == {int}:
         return v
     return tuple(a // g for a in v)
+
+
+class instance_memo:
+    """`functools.cached_property` with no lock: a first read on an instance
+    stores the value in its `__dict__`, which later reads find first, as there
+    is no `__set__`.  Two threads may each compute it; the first stored stays."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.name, self.func(instance))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -145,7 +158,7 @@ class IntMatrix:
 
     # Each elimination is taken once per instance, on first request, and
     # kept frozen into tuples so that no caller can change another's.
-    @cached_property
+    @instance_memo
     def _echelon(self) -> tuple[int, int, tuple[int, ...], tuple[Vector, ...], tuple[int, ...]]:
         """The Bareiss record: (rank, signed last pivot, pivot columns, rows,
         pivot rows), the last the indices in A of the rows that hold a pivot."""
@@ -154,12 +167,12 @@ class IntMatrix:
         rank, last, pivots = _bareiss(M, self.cols, order)
         return rank, last, tuple(pivots), tuple(map(tuple, M)), tuple(order[:rank])
 
-    @cached_property
+    @instance_memo
     def _smith(self) -> tuple[tuple[Vector, ...], tuple, tuple]:
         D, rows, cols = _smith_elimination(self)
         return tuple(map(tuple, D)), tuple(rows), tuple(cols)
 
-    @cached_property
+    @instance_memo
     def _hermite(self) -> tuple[tuple[Vector, ...], tuple, tuple]:
         H, pivots, log = _column_hermite(self)
         return tuple(map(tuple, H)), tuple(pivots), tuple(log)
@@ -367,8 +380,8 @@ def _identity_rows(n: int) -> list[list[int]]:
 
 def _smith_elimination(a: IntMatrix, modulus: int = 0):
     """The gcd-driven diagonalization behind every Smith form, on row lists:
-    (D, rows, cols), D = U*A*V and the row and column logs of U and V; run
-    once per instance, through `IntMatrix._smith`.
+    (D, rows, cols), D = U*A*V and the row and column logs of U and V; kept
+    by `IntMatrix._smith`, except for `gcd_transform` and `cokernel_invariants`.
     Pivots are chosen by minimal absolute value; whenever the current pivot
     fails to divide an entry of the remaining block, that entry's row is
     folded into the pivot row, which makes the resulting diagonal satisfy
@@ -460,9 +473,8 @@ def gcd_transform(v: Sequence[int]) -> IntMatrix:
     U*v = (g, 0, ..., 0), with g from `math.gcd`, is all of U*A*V = D;
     ArithmeticError if it fails."""
     v = tuple(map(index, v))
-    a = _built([(x,) for x in v], 1)
-    u = _row_transform(a._smith[1], a.rows)
-    target = ((gcd(*v),) + (0,) * a.rows)[:a.rows]
+    u = _row_transform(_smith_elimination(_built([(x,) for x in v], 1))[1], len(v))
+    target = ((gcd(*v),) + (0,) * len(v))[:len(v)]
     if u.apply(v) != target:
         raise ArithmeticError(f"U = {u} does not send {v} to {target}")
     return u

@@ -324,6 +324,13 @@ class TestCliCommands:
         assert capsys.readouterr().err == (
             'error: scalars must be a list of strings "p/q" or integers\n')
 
+    def test_diag_zero_denominator_names_the_fraction(self, tmp_path, capsys):
+        path = write(tmp_path, "w.json", {
+            "rank": 1, "weights": [[1, -1]],
+            "monomial_matrices": [{"perm": [1, 0], "scalars": ["1/0", "0"]}]})
+        assert main(["diag", path]) == 2
+        assert capsys.readouterr().err == "error: bad scalar exponent: Fraction(1, 0)\n"
+
     def test_diag_takes_no_rank(self, tmp_path, capsys, count_calls):
         # the quotient's classification already requires dimension m - 1
         path = write(tmp_path, "w.json", {"rank": 2, "weights": [[1, 0, -1], [0, 1, -2]]})

@@ -349,6 +349,23 @@ class TestMonomialMatrix:
         assert n == 18  # permutation order 3, scalar denominators 2 and 3
         assert n == order_by_powers(perm, scalars)
 
+    def test_str_subclass_scalar_is_read_as_its_string(self):
+        class Exponent(str):
+            pass
+
+        g = MonomialMatrix((0, 1), (Exponent("3/4"), Exponent("-7/6")))
+        assert g.scalars == (Fraction(3, 4), Fraction(5, 6))
+        assert all(type(s) is Fraction for s in g.scalars)
+
+    @pytest.mark.parametrize("scalar, p", [("1/0", 1), ("-07/0", -7), ("+0/00", 0)])
+    def test_zero_denominator_raises_as_fraction_does(self, scalar, p):
+        # the message `coxtoric diag` prints, as Fraction(p, 0) words it
+        with pytest.raises(ZeroDivisionError) as raised:
+            MonomialMatrix((0,), (scalar,))
+        with pytest.raises(ZeroDivisionError) as direct:
+            Fraction(p, 0)
+        assert str(raised.value) == str(direct.value) == f"Fraction({p}, 0)"
+
     @given(st.integers(0, 5).flatmap(lambda m: st.tuples(
         st.permutations(list(range(m))),
         st.lists(st.fractions(max_denominator=6), min_size=m, max_size=m))))
@@ -460,6 +477,56 @@ class TestCommutesWithTorus:
             mm = MonomialMatrix(perm, (0,) * len(a))
             assert commutes_with_torus(mm, group) == in_lattice_by_minors(
                 group.relations, tuple(generator[j] for j in perm))
+
+
+@st.composite
+def rank_one_generators(draw):
+    """A nonzero generator in Z^m, m <= 5: arbitrary, or one with two nonzero
+    entries k*e_i + l*e_j, k and l in +-{1, 2, 3}, the generators that a
+    comparison character e_i - e_j nearly matches: k*(e_i - e_j) among them."""
+    m = draw(st.integers(1, 5))
+    if m > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(m)))[:2]
+        k = draw(st.sampled_from([1, 2, 3, -1, -2, -3]))
+        l = draw(st.sampled_from([-k, -k, 1, 2, 3, -1, -2, -3]))
+        return tuple(k * (t == i) + l * (t == j) for t in range(m))
+    return tuple(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m).filter(any)))
+
+
+class TestCentralizesRankOne:
+    @staticmethod
+    def check_every_permutation(a):
+        # the generator is taken as given, primitive or not
+        m = len(a)
+        group = rank_one_subgroup(a)
+        member = {(i, j): in_lattice_by_minors(group.relations, [(t == i) - (t == j) for t in range(m)])
+                  for i in range(m) for j in range(m) if i != j}
+        for perm in permutations(range(m)):
+            expected = all(member[i, pi] for i, pi in enumerate(perm) if pi != i)
+            assert centralizes_torus(MonomialMatrix(perm, (0,) * m), group) == expected
+
+    @given(rank_one_generators())
+    @settings(max_examples=60)
+    def test_verdict_agrees_with_the_minors_oracle_for_every_permutation(self, a):
+        self.check_every_permutation(a)
+
+    @pytest.mark.parametrize("a", [(1, -1, 0), (-1, 1, 0, 0), (2, -2, 0), (-3, 0, 3), (1, 1, 0),
+                                   (0, 0, 1, -1), (1, -1, 1), (1, -2, 0)])
+    def test_verdict_on_generators_near_a_comparison_character(self, a):
+        self.check_every_permutation(a)
+
+    def test_takes_no_back_substitution(self, count_calls):
+        calls = count_calls(intlin, "_back_substitute")
+        swap = MonomialMatrix((1, 0, 2), (0, 0, 0))
+        assert centralizes_torus(swap, rank_one_subgroup((1, -1, 0)))
+        assert centralizes_torus(swap, rank_one_subgroup((-1, 1, 0)))
+        assert not centralizes_torus(swap, rank_one_subgroup((2, -2, 0)))
+        assert not centralizes_torus(MonomialMatrix((1, 2, 0), (0, 0, 0)), rank_one_subgroup((1, -1, 0)))
+        assert calls == {"_back_substitute": 0}
+        # a rank-two lattice keeps its back-substitutions, one per moved coordinate
+        group = DiagonalizableSubgroup(3, IntMatrix.from_columns([(1, -1, 0), (0, 1, -1)], rows=3))
+        assert centralizes_torus(MonomialMatrix((1, 2, 0), (0, 0, 0)), group)
+        assert calls == {"_back_substitute": 3}
 
 
 class TestHyperplaneReport:

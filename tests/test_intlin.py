@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -16,6 +17,7 @@ from coxtoric.intlin import (
     divisibility_index,
     dot,
     gcd_transform,
+    instance_memo,
     invert_unimodular,
     kernel_basis,
     kernel_generator,
@@ -1023,6 +1025,45 @@ class TestEliminationMemo:
         assert type(pivot_rows) is tuple
 
 
+@dataclass(frozen=True)
+class Doubling:
+    """A frozen dataclass, as IntMatrix is, whose `doubled` logs each computation."""
+
+    x: int
+    log: list
+
+    @instance_memo
+    def doubled(self):
+        """Twice x."""
+        self.log.append(self.x)
+        return 2 * self.x
+
+
+class TestInstanceMemo:
+    def test_computed_once_per_instance_and_not_shared_by_equal_ones(self):
+        log = []
+        a, b = Doubling(3, log), Doubling(3, log)
+        assert a == b
+        assert (a.doubled, a.doubled) == (6, 6)
+        assert log == [3]
+        assert a.__dict__["doubled"] == 6 and "doubled" not in b.__dict__
+        assert b.doubled == 6
+        assert log == [3, 3]
+
+    def test_the_class_attribute_is_the_descriptor(self):
+        assert isinstance(Doubling.doubled, instance_memo)
+        assert Doubling.doubled.__doc__ == "Twice x."
+        for name in ("_echelon", "_smith", "_hermite"):
+            assert isinstance(getattr(IntMatrix, name), instance_memo)
+
+    def test_a_value_planted_in_the_instance_dict_is_read_as_it_is(self):
+        log = []
+        a = Doubling(3, log)
+        a.__dict__["doubled"] = 7
+        assert a.doubled == 7
+        assert log == []
+
+
 class TestGcdTransform:
     @given(st.lists(st.integers(-30, 30), max_size=6))
     def test_is_the_row_transform_of_the_smith_form_of_a_column(self, v):
@@ -1046,6 +1087,17 @@ class TestGcdTransform:
         monkeypatch.setattr(intlin, "_smith_elimination", swapped)
         with pytest.raises(ArithmeticError, match="does not send"):
             gcd_transform((2, 3))
+
+    def test_eliminates_once_and_keeps_nothing_on_its_column(self, monkeypatch):
+        # the throwaway column is eliminated directly: no Smith record is
+        # frozen onto an instance that nothing reads again
+        columns = []
+        real = intlin._smith_elimination
+        monkeypatch.setattr(intlin, "_smith_elimination",
+                            lambda a, *modulus: columns.append(a) or real(a, *modulus))
+        assert gcd_transform((4, 6, -10)).apply((4, 6, -10)) == (2, 0, 0)
+        assert [c.entries for c in columns] == [((4,), (6,), (-10,))]
+        assert "_smith" not in columns[0].__dict__
 
 
 class TestSmithRowTransform:

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from coxtoric.corpus import corpus_fans
 from coxtoric.fans import fan_from_dict, fan_to_dict
 
@@ -216,6 +218,59 @@ def test_bench_pairs_runs_compile_the_source_they_import(tmp_path):
     prefixes = {prefix for _, _, prefix, _ in runs}
     assert len(prefixes) == 4
     assert not any(pathlib.Path(prefix).exists() for prefix in prefixes)
+
+
+# records where each start runs and whether its run.py ends with the edit
+# that the test makes, then prints what a finished run prints
+PLACE_RUN = """
+import json, os
+with open(os.environ["FAKE_RUN_LOG"], "a") as log:
+    with open(__file__) as source:
+        log.write(json.dumps([os.getcwd(), os.path.abspath(__file__),
+                              source.read().endswith("# edited\\n")]) + "\\n")
+print("outputs_sha256 w seed=1 ops=1 d")
+print(json.dumps({"failed": 0, "metrics": {"ops_per_s": {"value": 1.0}}}))
+"""
+
+
+@pytest.mark.parametrize("dirty", [False, True], ids=["clean", "uncommitted-change"])
+def test_bench_pairs_runs_both_sides_from_extracts_of_equal_length(tmp_path, dirty):
+    # neither side runs in the working tree: both run from sibling extracts,
+    # the change side from HEAD or from `git stash create` of an edit
+    checkout = fake_checkout(tmp_path, PLACE_RUN)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    if dirty:
+        run_py = checkout / "perfbench" / "run.py"
+        run_py.write_text(run_py.read_text() + "# edited\n")
+    log, out = tmp_path / "runs.txt", tmp_path / "out.json"
+    result = subprocess.run([sys.executable, "scripts/bench_pairs.py", "--parent", "HEAD",
+                             "--out", str(out), "w:2"], cwd=checkout,
+                            env={**os.environ, "FAKE_RUN_LOG": str(log)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(out.read_text())
+    places = {}
+    for run, line in zip(report["runs"], log.read_text().splitlines(), strict=True):
+        cwd, source, edited = json.loads(line)
+        assert pathlib.Path(source) == pathlib.Path(cwd) / "perfbench" / "run.py"
+        places.setdefault(run["side"], set()).add((cwd, edited))
+    assert sorted(places) == ["change", "parent"]
+    (parent, parent_edited), = places["parent"]
+    (change, change_edited), = places["change"]
+    assert (parent_edited, change_edited) == (False, dirty)
+    parent, change = pathlib.Path(parent), pathlib.Path(change)
+    assert parent != change and parent.parent == change.parent
+    assert len(str(parent)) == len(str(change))
+    assert checkout.resolve() not in (parent.parent, *parent.parents)
+    assert not parent.parent.exists()
+    assert report["parent_revision"] == head
+    if dirty:
+        assert report["change_revision"] != head
+        assert report["change_base_revision"] == head
+    else:
+        assert report["change_revision"] == head
+        assert "change_base_revision" not in report
 
 
 def test_bench_pairs_stops_its_run_on_sigterm(tmp_path):
